@@ -86,7 +86,7 @@ def _cmd_census(args):
     entries = []
     nodes = 0
     for k in ks:
-        census = enumerate_semigroup(ring, args.n, k, side, jobs=args.jobs)
+        census = enumerate_semigroup(ring, args.n, k, side)
         nodes += census.nodes
         row = {"k": ring.render(k), "side": side, "count": census.count}
         if args.emit == "matrices":
@@ -120,20 +120,19 @@ def _rows_to_map(rows):
 def _cmd_tables(args):
     t0 = time.perf_counter()
     ring = parse_ring(args.ring)
-    rows = census_table(ring, args.n, jobs=args.jobs)
+    rows = census_table(ring, args.n)
     result = {"n": args.n, "rows": rows}
     status = EXIT_OK
     mismatches = []
     if args.golden:
-        with open(args.golden, encoding="utf-8") as fh:
-            golden = json.load(fh)
+        golden = _load_table(args.golden, "rows")
         mismatches = _compare_count_tables(golden, ring, args.n, rows)
         result["golden"] = args.golden
         result["mismatches"] = mismatches
         if mismatches:
             status = EXIT_MISMATCH
     rep = _report("tables", ring.literal, {"n": args.n, "golden": args.golden},
-                  result, t0)
+                  result, t0, sum(r["nodes"] for r in rows))
     if args.format == "csv":
         print("k,lo,o,diff")
         for r in rows:
@@ -147,6 +146,21 @@ def _cmd_tables(args):
         lines.append("golden check: " + ("OK" if not mismatches else "; ".join(mismatches)))
     _emit(rep, args.format, lines)
     return status
+
+
+def _load_table(path, *keys):
+    """Parse a golden table file: a JSON object holding every key in `keys`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            table = json.load(fh)
+        except ValueError as exc:
+            raise KorthosError(f"{path} is not a JSON table: {exc}") from None
+    if not isinstance(table, dict):
+        raise KorthosError(f"{path} is not a JSON table: expected an object")
+    missing = [key for key in keys if key not in table]
+    if missing:
+        raise KorthosError(f"{path} has no {', '.join(map(repr, missing))} key")
+    return table
 
 
 def _compare_count_tables(golden, ring, n, rows):
@@ -174,15 +188,16 @@ def _matrix_set(entry_lists):
 
 
 def _compare_matrix_table(golden, ring, n):
-    """Golden files carrying explicit LO/RO/O matrix lists for one k."""
+    """Golden files carrying explicit LO/RO/O matrix lists for one k.
+    Returns (problems, nodes summed over the censuses run)."""
     k = ring.parse_element(golden["k"])
     problems = []
-    censuses = {}
+    nodes = 0
     for side_key, side in (("lo", "left"), ("ro", "right"), ("o", "two_sided")):
         if side_key not in golden:
             continue
         census = enumerate_semigroup(ring, n, k, side)
-        censuses[side_key] = census
+        nodes += census.nodes
         got = _matrix_set(m.render_entries() for m in census.elements)
         want = _matrix_set(golden[side_key])
         if got != want:
@@ -190,25 +205,29 @@ def _compare_matrix_table(golden, ring, n):
                 f"{side_key}: computed {len(got)} matrices, golden {len(want)}, "
                 f"set difference {len(got ^ want)}"
             )
-    return problems
+    return problems, nodes
 
 
 def _cmd_verify(args):
     t0 = time.perf_counter()
-    with open(args.table, encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = _load_table(args.table, "ring", "n")
     ring = parse_ring(golden["ring"])
-    n = int(golden["n"])
+    n = golden["n"]
+    if not isinstance(n, int):
+        raise KorthosError(f"{args.table}: 'n' must be an integer, got {n!r}")
     if "rows" in golden:
-        rows = census_table(ring, n, jobs=args.jobs)
+        rows = census_table(ring, n)
+        nodes = sum(r["nodes"] for r in rows)
         mismatches = _compare_count_tables(golden, ring, n, rows)
         result = {"n": n, "kind": "counts", "rows": rows, "mismatches": mismatches}
     else:
-        mismatches = _compare_matrix_table(golden, ring, n)
+        if "k" not in golden:
+            raise KorthosError(f"{args.table} has neither a 'rows' nor a 'k' key")
+        mismatches, nodes = _compare_matrix_table(golden, ring, n)
         result = {"n": n, "kind": "matrices", "k": golden.get("k"),
                   "mismatches": mismatches}
     status = EXIT_OK if not mismatches else EXIT_MISMATCH
-    rep = _report("verify", ring.literal, {"table": args.table}, result, t0)
+    rep = _report("verify", ring.literal, {"table": args.table}, result, t0, nodes)
     _emit(rep, args.format, [
         f"verify {args.table} against {ring.literal}, n={n}: "
         + ("OK" if not mismatches else "MISMATCH"),
@@ -225,12 +244,11 @@ def _cmd_crt(args):
         if args.k is None or args.n is None:
             raise KorthosError("crt --verify needs both --n and --k")
         k = ring.parse_element(args.k)
-        result = verify_semigroup_isomorphism(ring, args.n, k,
-                                              side=args.side, jobs=args.jobs)
+        result = verify_semigroup_isomorphism(ring, args.n, k, side=args.side)
         status = EXIT_OK if result["bijection_ok"] else EXIT_MISMATCH
         rep = _report("crt", ring.literal,
                       {"n": args.n, "k": args.k, "verify": True, "side": args.side},
-                      result, t0)
+                      result, t0, result["nodes"])
         _emit(rep, args.format, [
             f"{ring.literal} -> " + " x ".join(result["factors"]),
             f"k={result['k']} maps to a=({', '.join(result['a_j'])})",
@@ -331,36 +349,33 @@ def build_parser():
                                  "commutative rings and their codes")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, ring=True, fmt=True):
+    def common(p, ring=True, csv=False):
         if ring:
             p.add_argument("--ring", required=True, help="ring literal, e.g. Z6, R2, GF(2,2;x^2+x+1)")
-        if fmt:
-            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=["text", "json", "csv"] if csv else ["text", "json"],
+                       default="text")
 
     p = sub.add_parser("idempotents", help="list the idempotent elements")
     common(p)
     p.set_defaults(func=_cmd_idempotents)
 
     p = sub.add_parser("census", help="enumerate a k-orthogonal semigroup")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", help="element literal; default: every idempotent")
     p.add_argument("--side", choices=["left", "right", "two"], default="left")
     p.add_argument("--emit", choices=["counts", "matrices"], default="counts")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("tables", help="census table over all idempotents")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--golden", help="golden JSON to compare against")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify", help="recompute and compare a golden table file")
+    common(p, ring=False)
     p.add_argument("--table", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("crt", help="residue decomposition and census products")
@@ -369,7 +384,6 @@ def build_parser():
     p.add_argument("--k")
     p.add_argument("--side", choices=["left", "right", "two"], default="left")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_crt)
 
     p = sub.add_parser("code", help="build a code and report its duality status")

@@ -193,13 +193,13 @@ def map_matrix(crt_split, mat):
     return tuple(out)
 
 
-def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None, jobs=1):
+def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     """Check that the census over the ring maps bijectively onto the product
     of the factor-field censuses, and that the counts multiply accordingly.
 
     The factor parameters a_j are always computed as forward(k); the factor
     censuses use the independent brute-force counter when feasible, the
-    pruned search otherwise.
+    pruned search otherwise.  `nodes` sums the nodes of every pruned search.
     """
     ring.check_element(k)
     if ring.mul(k, k) != k:
@@ -209,7 +209,8 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None, jobs=1):
     crt_split.require_fields()
 
     a = crt_split.forward(k)
-    direct = enumerate_semigroup(ring, n, k, side, budget=budget, jobs=jobs)
+    direct = enumerate_semigroup(ring, n, k, side, budget=budget)
+    nodes = direct.nodes
 
     factor_sets = []
     factor_counts = []
@@ -217,7 +218,9 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None, jobs=1):
         try:
             mats = enumerate_naive(factor, n, aj, side)
         except BudgetExceededError:
-            mats = enumerate_semigroup(factor, n, aj, side, budget=budget).elements
+            census = enumerate_semigroup(factor, n, aj, side, budget=budget)
+            nodes += census.nodes
+            mats = census.elements
         factor_sets.append({m.entries for m in mats})
         factor_counts.append(len(mats))
 
@@ -247,6 +250,7 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None, jobs=1):
         "product": product,
         "direct_count": direct.count,
         "bijection_ok": bijection_ok,
+        "nodes": nodes,
     }
 
 

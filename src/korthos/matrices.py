@@ -264,7 +264,11 @@ class OrthClass:
 
 
 def _gram_matches(ring, vecs, k):
-    """True iff the Gram matrix of `vecs` equals k*I."""
+    """True iff the Gram matrix of `vecs` equals k*I.
+
+    The only inner-product loop behind the orthogonality tests and the
+    search; it stays written out because it runs once per census element.
+    """
     add, mul = ring.add, ring.mul
     zero = ring.zero
     n = len(vecs)
@@ -280,6 +284,12 @@ def _gram_matches(ring, vecs, k):
     return True
 
 
+def _rows_gram_matches(a, k):
+    """A A^T = k I for a square `a`, without validating the arguments."""
+    e, n = a.entries, a.cols
+    return _gram_matches(a.ring, [e[i * n:(i + 1) * n] for i in range(n)], k)
+
+
 def is_left_k_orthogonal(a, k):
     """A^T A = k I, i.e. the columns have Gram matrix k*I."""
     if not a.is_square():
@@ -293,7 +303,7 @@ def is_right_k_orthogonal(a, k):
     if not a.is_square():
         raise DimensionMismatchError("k-orthogonality is defined for square matrices")
     a.ring.check_element(k)
-    return _gram_matches(a.ring, [a.row(i) for i in range(a.rows)], k)
+    return _rows_gram_matches(a, k)
 
 
 def classify_k_orthogonal(a, k):

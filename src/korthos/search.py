@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     InvariantViolationError,
     NotApplicableError,
 )
-from .matrices import Mat, identity, scalar_mat
+from .matrices import Mat, _gram_matches, _rows_gram_matches, identity, scalar_mat
 from .rings import Ring, VExtensionRing
 
 DEFAULT_BUDGET = 10 ** 8
@@ -48,12 +47,17 @@ def normalize_side(side):
 
 
 def resolve_budget(budget=None):
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("KORTHOS_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if budget is None:
+        budget = os.environ.get("KORTHOS_BUDGET") or DEFAULT_BUDGET
+    try:
+        limit = int(budget)
+    except (TypeError, ValueError):
+        limit = 0
+    if limit < 1:
+        raise InvalidParameterError(
+            f"the node budget (KORTHOS_BUDGET) must be a whole number >= 1, got {budget!r}"
+        )
+    return limit
 
 
 class _NodeCounter:
@@ -103,47 +107,34 @@ class SemigroupCensus:
 
 def _column_candidates(ring, n, k, counter):
     """All vectors c in R^n with <c, c> = k."""
-    add, mul = ring.add, ring.mul
     out = []
     for vec in itertools.product(range(ring.order), repeat=n):
         counter.spend()
-        acc = ring.zero
-        for x in vec:
-            acc = add(acc, mul(x, x))
-        if acc == k:
+        if _gram_matches(ring, (vec,), k):
             out.append(vec)
     return out
 
 
-def _orth_sets(ring, cands, n, counter):
-    """orth[i] = indices j with <cands[i], cands[j]> = 0 (symmetric)."""
-    add, mul = ring.add, ring.mul
-    zero = ring.zero
+def _orth_sets(ring, cands, k, counter):
+    """orth[i] = indices j with <cands[i], cands[j]> = 0 (symmetric).
+
+    Every candidate has <c, c> = k, so the Gram matrix of a pair is kI
+    exactly when the pair is orthogonal; for i = j that means k = 0.
+    """
     m = len(cands)
     orth = [set() for _ in range(m)]
     for i in range(m):
         ci = cands[i]
         for j in range(i, m):
             counter.spend()
-            cj = cands[j]
-            acc = zero
-            for t in range(n):
-                acc = add(acc, mul(ci[t], cj[t]))
-            if acc == zero:
+            if _gram_matches(ring, (ci, cands[j]), k):
                 orth[i].add(j)
                 orth[j].add(i)
     return orth
 
 
-def _backtrack(cands, orth, n, counter, first_indices=None):
+def _backtrack(cands, orth, n, counter):
     """Yield index tuples (j_1 .. j_n) of pairwise-orthogonal candidates."""
-    m = len(cands)
-    first = range(m) if first_indices is None else first_indices
-    if n == 1:
-        for j in first:
-            counter.spend()
-            yield (j,)
-        return
     chosen = []
 
     def rec(allowed):
@@ -158,11 +149,7 @@ def _backtrack(cands, orth, n, counter, first_indices=None):
                 yield from rec(nxt)
             chosen.pop()
 
-    for j0 in first:
-        counter.spend()
-        chosen.append(j0)
-        yield from rec(sorted(orth[j0]))
-        chosen.pop()
+    yield from rec(range(len(cands)))
 
 
 def _mat_from_choice(ring, n, cands, choice, side):
@@ -174,69 +161,25 @@ def _mat_from_choice(ring, n, cands, choice, side):
     return Mat(ring, n, n, entries)
 
 
-def _is_right_on_entries(ring, n, entries, k):
-    add, mul = ring.add, ring.mul
-    zero = ring.zero
-    for i in range(n):
-        ri = entries[i * n:(i + 1) * n]
-        for j in range(i, n):
-            rj = entries[j * n:(j + 1) * n]
-            acc = zero
-            for t in range(n):
-                acc = add(acc, mul(ri[t], rj[t]))
-            if acc != (k if i == j else zero):
-                return False
-    return True
-
-
-def _shard_worker(args):
-    ring, n, k, cands, orth, shard, limit = args
-    counter = _NodeCounter(limit)
-    out = [choice for choice in _backtrack(cands, orth, n, counter, shard)]
-    return out, counter.spent
-
-
-def enumerate_semigroup(ring, n, k, side="left", budget=None, jobs=1):
+def enumerate_semigroup(ring, n, k, side="left", budget=None):
     """Enumerate LO_n(k,R) / RO_n(k,R) / O_n(k,R) exactly.
 
     Elements are returned in canonical order (lexicographic by row-major
-    entry indices).  `jobs > 1` shards the search on the first column's
-    candidates across worker processes; the merged result is identical to a
-    sequential run.
+    entry indices).
     """
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
     ring.check_element(k)
     side = normalize_side(side)
-    limit = resolve_budget(budget)
-    counter = _NodeCounter(limit)
+    counter = _NodeCounter(resolve_budget(budget))
 
     cands = _column_candidates(ring, n, k, counter)
-    orth = _orth_sets(ring, cands, n, counter)
-
-    if jobs > 1 and len(cands) > 1:
-        shards = [list(range(i, len(cands), jobs)) for i in range(jobs)]
-        shards = [s for s in shards if s]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(
-                _shard_worker,
-                [(ring, n, k, cands, orth, s, limit) for s in shards],
-            ))
-        choices = []
-        for part, spent in results:
-            choices.extend(part)
-            counter.spend(spent)
-    else:
-        choices = list(_backtrack(cands, orth, n, counter))
-
-    mats = []
-    want_two = side == "two_sided"
-    for choice in choices:
-        m = _mat_from_choice(ring, n, cands, choice, side)
-        if want_two and not _is_right_on_entries(ring, n, m.entries, k):
-            continue
-        mats.append(m)
-    mats.sort(key=lambda m: m.entries)
+    orth = _orth_sets(ring, cands, k, counter)
+    mats = (_mat_from_choice(ring, n, cands, choice, side)
+            for choice in _backtrack(cands, orth, n, counter))
+    if side == "two_sided":
+        mats = (m for m in mats if _rows_gram_matches(m, k))
+    mats = sorted(mats, key=lambda m: m.entries)
 
     census = SemigroupCensus(
         ring=ring, n=n, k=k, side=side, elements=mats,
@@ -422,18 +365,23 @@ def circulant_characterization_check(census):
     return True
 
 
-def census_table(ring, n, budget=None, jobs=1):
-    """One row per idempotent k: {'k', 'lo', 'o', 'diff'}, matching the
-    census tables (|LO| = |RO|, |O|, and their difference)."""
+def census_table(ring, n, budget=None):
+    """One row per idempotent k: {'k', 'lo', 'o', 'diff', 'nodes'}, matching
+    the census tables (|LO| = |RO|, |O|, and their difference).
+
+    O = LO ∩ RO, so |O| counts the left elements whose rows also have Gram
+    matrix kI: one search per idempotent, whose nodes the row reports.
+    """
     rows = []
     for k in ring.idempotents():
-        lo = enumerate_semigroup(ring, n, k, "left", budget=budget, jobs=jobs)
-        two = enumerate_semigroup(ring, n, k, "two_sided", budget=budget, jobs=jobs)
+        lo = enumerate_semigroup(ring, n, k, "left", budget=budget)
+        o = sum(1 for m in lo.elements if _rows_gram_matches(m, k))
         rows.append({
             "k": ring.render(k),
             "lo": lo.count,
-            "o": two.count,
-            "diff": lo.count - two.count,
+            "o": o,
+            "diff": lo.count - o,
+            "nodes": lo.nodes,
         })
     return rows
 
@@ -449,10 +397,10 @@ def antiorthogonal_exists(ring, n, budget=None):
     k = ring.neg(ring.one)
     counter = _NodeCounter(resolve_budget(budget))
     cands = _column_candidates(ring, n, k, counter)
-    orth = _orth_sets(ring, cands, n, counter)
+    orth = _orth_sets(ring, cands, k, counter)
     for choice in _backtrack(cands, orth, n, counter):
         m = _mat_from_choice(ring, n, cands, choice, "left")
-        if not _is_right_on_entries(ring, n, m.entries, k):
+        if not _rows_gram_matches(m, k):
             # a (-1)-orthogonal matrix is invertible, so one-sidedness
             # cannot happen; treat it as a search bug
             raise InvariantViolationError("left antiorthogonal witness was not right antiorthogonal")

@@ -61,12 +61,6 @@ def test_census_emit_matrices(capsys):
     assert ["v", "0", "0", "v"] in rows
 
 
-def test_census_jobs_flag(capsys):
-    code, payload, _ = run_json(capsys, "census", "--ring", "Z6", "--n", "2",
-                                "--k", "4", "--jobs", "2")
-    assert payload["result"]["censuses"][0]["count"] == 32
-
-
 def test_tables_against_golden(capsys):
     code, out, _ = run(capsys, "tables", "--ring", "R2", "--n", "3",
                        "--golden", str(TABLES / "r2-n3-counts.json"))
@@ -208,11 +202,59 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--ring", "Z6", "--n", "2", "--jobs", "2"),
+    ("idempotents", "--ring", "Z6", "--format", "csv"),
+    ("crt", "--ring", "Z6", "--format", "csv"),
+    ("code", "--ring", "Z4", "--A", "1", "--format", "csv"),
+    ("antiortho", "--ring", "Z6", "--n", "2", "--format", "csv"),
+], ids=["census-jobs", "idempotents-csv", "crt-csv", "code-csv", "antiortho-csv"])
+def test_unsupported_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "korthos: error:" in capsys.readouterr().err
+
+
 def test_budget_env_propagates(monkeypatch, capsys):
     monkeypatch.setenv("KORTHOS_BUDGET", "10")
     code, _, err = run(capsys, "census", "--ring", "Z6", "--n", "3", "--k", "0")
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_budget_env_exits_1(monkeypatch, capsys, value):
+    monkeypatch.setenv("KORTHOS_BUDGET", value)
+    code, _, err = run(capsys, "census", "--ring", "Z6", "--n", "2", "--k", "1")
+    assert code == 1
+    assert "korthos: error:" in err and "KORTHOS_BUDGET" in err
+
+
+@pytest.mark.parametrize("text,needle", [
+    (None, "'ring'"),  # tables/worked-examples.json, which holds no census
+    ('{"ring": "Z6"}', "'n'"),
+    ('{"ring": "Z6", "n": 2}', "'rows' nor a 'k'"),
+    ('{"ring": "Z6", "n": "two", "rows": []}', "'n' must be an integer"),
+    ("ring Z6, n 2", "not a JSON table"),
+    ("[1, 2]", "not a JSON table"),
+], ids=["worked-examples", "no-n", "no-rows-or-k", "n-not-int", "not-json", "not-object"])
+def test_malformed_table_file_exits_1(tmp_path, capsys, text, needle):
+    path = TABLES / "worked-examples.json"
+    if text is not None:
+        path = tmp_path / "table.json"
+        path.write_text(text)
+    code, _, err = run(capsys, "verify", "--table", str(path))
+    assert code == 1
+    assert "korthos: error:" in err and needle in err
+
+
+def test_golden_without_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text('{"ring": "Z6", "n": 2}')
+    code, _, err = run(capsys, "tables", "--ring", "Z6", "--n", "2", "--golden", str(path))
+    assert code == 1
+    assert "korthos: error:" in err and "'rows'" in err
 
 
 def test_payloads_are_deterministic(capsys):
@@ -226,3 +268,20 @@ def test_payloads_are_deterministic(capsys):
     assert payload_no_time(*argv) == payload_no_time(*argv)
     argv = ("crt", "--ring", "Z6", "--n", "2", "--k", "4", "--verify")
     assert payload_no_time(*argv) == payload_no_time(*argv)
+    argv = ("tables", "--ring", "R2", "--n", "2")
+    assert payload_no_time(*argv) == payload_no_time(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--ring", "R2", "--n", "2"),
+    ("verify", "--table", str(TABLES / "z6-n2-counts.json")),
+    ("verify", "--table", str(TABLES / "r2-n2-v-semigroups.json")),
+    ("crt", "--ring", "Z6", "--n", "2", "--k", "4", "--verify"),
+], ids=["tables", "verify-counts", "verify-matrices", "crt-verify"])
+def test_search_commands_report_nodes(capsys, argv):
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["nodes"] > 0
+    rows = payload["result"].get("rows")
+    if rows:
+        assert payload["nodes"] == sum(r["nodes"] for r in rows)

@@ -13,6 +13,7 @@ from korthos import (
     enumerate_naive,
     enumerate_semigroup,
     identity,
+    make_galois_field,
     make_r2,
     make_zmod,
     reversal,
@@ -21,6 +22,9 @@ from korthos import (
     verify_closure,
     verify_group,
 )
+from korthos.search import resolve_budget
+
+from helpers import ring_family
 
 Z6 = make_zmod(6)
 R2 = make_r2()
@@ -228,6 +232,26 @@ def test_census_table_f2():
     assert by_k["1"]["lo"] == 2 and by_k["1"]["o"] == 2
 
 
+@pytest.mark.parametrize("ring,n", [(ring, n) for ring in ring_family() for n in (1, 2)]
+                         + [(Z6, 3), (R2, 3)],
+                         ids=lambda x: getattr(x, "literal", str(x)))
+def test_census_table_matches_separate_searches(ring, n):
+    rows = census_table(ring, n)
+    assert [r["k"] for r in rows] == [ring.render(k) for k in ring.idempotents()]
+    for row, k in zip(rows, ring.idempotents()):
+        left = enumerate_semigroup(ring, n, k, "left")
+        two = enumerate_semigroup(ring, n, k, "two_sided")
+        assert (row["lo"], row["o"], row["diff"]) == (left.count, two.count,
+                                                      left.count - two.count)
+        assert row["nodes"] == left.nodes
+
+
+def test_node_counts_are_pinned():
+    assert enumerate_semigroup(Z6, 3, 0, "left").nodes == 3558
+    assert enumerate_semigroup(Z6, 3, 4, "left").nodes == 1836
+    assert enumerate_semigroup(make_galois_field(3), 4, 1, "two_sided").nodes == 2277
+
+
 # ---------------------------------------------------------------------------
 # antiorthogonal search
 
@@ -254,7 +278,7 @@ def test_antiorthogonal_search_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# budget and parallelism
+# budget
 
 def test_budget_exceeded_is_a_hard_error():
     with pytest.raises(BudgetExceededError):
@@ -269,8 +293,11 @@ def test_budget_env_override(monkeypatch):
     assert enumerate_semigroup(Z6, 2, 1, "left").count == 16
 
 
-def test_sharded_enumeration_matches_sequential():
-    seq = enumerate_semigroup(R2, 3, V, "left", jobs=1)
-    par = enumerate_semigroup(R2, 3, V, "left", jobs=2)
-    assert seq.elements == par.elements
-    assert par.count == 132
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_invalid_budget_is_a_parameter_error(monkeypatch, value):
+    monkeypatch.setenv("KORTHOS_BUDGET", value)
+    with pytest.raises(InvalidParameterError, match="KORTHOS_BUDGET"):
+        resolve_budget()
+    monkeypatch.delenv("KORTHOS_BUDGET")
+    with pytest.raises(InvalidParameterError):
+        enumerate_semigroup(Z6, 2, 1, "left", budget=value)
