@@ -1,8 +1,9 @@
 """Vectorized arithmetic on numpy arrays of ring element indices.
 
 Used where brute-force scale demands it (naive enumeration oracles, closure
-verification, dual-code sweeps).  All functions take a table-backed ring and
-operate on arrays whose values are element indices.
+verification, code spans and dual-code sweeps).  Every ring is table-backed,
+so element indices fit in ``uint8``; the functions operate on arrays whose
+values are element indices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ def all_tuples(order, length):
     """All vectors in R^length as an (order**length, length) index array,
     in lexicographic order (first coordinate most significant)."""
     count = order ** length
-    out = np.empty((count, length), dtype=np.uint8 if order <= 256 else np.int64)
+    out = np.empty((count, length), dtype=np.uint8)
     x = np.arange(count, dtype=np.int64)
     for j in range(length - 1, -1, -1):
         out[:, j] = x % order
@@ -47,9 +48,8 @@ def batch_dot(ring, u, v):
     return fold_add(ring, (t[..., k] for k in range(t.shape[-1])))
 
 
-def encode(order, flat):
-    """Collapse the last axis into a single int64 code (first entry most
-    significant), matching lexicographic order on the tuples."""
-    width = flat.shape[-1]
-    weights = order ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (flat.astype(np.int64) * weights).sum(axis=-1)
+def row_keys(flat):
+    """One fixed-width bytes key per row of a uint8 array, exact at any row
+    length; keys sort like the rows read as tuples."""
+    flat = np.ascontiguousarray(flat)
+    return flat.view(np.dtype((np.void, flat.shape[-1])))[..., 0]

@@ -160,7 +160,30 @@ def _load_table(path, *keys):
     missing = [key for key in keys if key not in table]
     if missing:
         raise KorthosError(f"{path} has no {', '.join(map(repr, missing))} key")
+    _check_shape(path, table)
     return table
+
+
+def _check_shape(path, table):
+    """Reject a table whose values have the wrong types, naming the key."""
+    def require(ok, key, want):
+        if not ok:
+            raise KorthosError(f"{path}: {key!r} must be {want}")
+
+    if "n" in table:
+        require(isinstance(table["n"], int), "n", "an integer")
+    if "k" in table:
+        require(isinstance(table["k"], str), "k", "an element literal string")
+    rows = table.get("rows", [])
+    require(isinstance(rows, list) and all(
+        isinstance(r, dict) and isinstance(r.get("k"), str)
+        and isinstance(r.get("lo"), int) and isinstance(r.get("o"), int)
+        for r in rows), "rows", "a list of objects with a string 'k' and integer 'lo' and 'o'")
+    for key in ("lo", "ro", "o"):
+        mats = table.get(key, [])
+        require(isinstance(mats, list) and all(
+            isinstance(m, list) and all(isinstance(e, str) for e in m) for m in mats),
+            key, "a list of matrices, each a list of entry strings")
 
 
 def _compare_count_tables(golden, ring, n, rows):
@@ -213,8 +236,6 @@ def _cmd_verify(args):
     golden = _load_table(args.table, "ring", "n")
     ring = parse_ring(golden["ring"])
     n = golden["n"]
-    if not isinstance(n, int):
-        raise KorthosError(f"{args.table}: 'n' must be an integer, got {n!r}")
     if "rows" in golden:
         rows = census_table(ring, n)
         nodes = sum(r["nodes"] for r in rows)
@@ -279,7 +300,12 @@ def _cmd_code(args):
     if args.A is not None:
         a = Mat.from_text(ring, args.A)
         if args.drop_rows:
-            rows = [int(t) for t in args.drop_rows.split(",")]
+            try:
+                rows = [int(t) for t in args.drop_rows.split(",")]
+            except ValueError:
+                raise KorthosError(
+                    f"--drop-rows takes comma-separated row numbers, got {args.drop_rows!r}"
+                ) from None
             a = drop_rows(a, rows)
         code = systematic_from_A(a)
     else:
@@ -407,10 +433,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KorthosError as exc:
-        print(f"korthos: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (KorthosError, OSError) as exc:
         print(f"korthos: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

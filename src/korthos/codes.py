@@ -64,44 +64,16 @@ DualityReport = namedtuple(
 
 
 def _span_words(ring, gen, budget):
-    k, n = gen.rows, gen.cols
+    k = gen.rows
     messages = ring.order ** k
     if messages > budget:
         raise BudgetExceededError(
             f"spanning {messages} messages exceeds the budget of {budget}"
         )
-    if n == 0:
-        return frozenset([()])
-    if messages <= 4096 or ring.order > 256:
-        add, mul = ring.add, ring.mul
-        words = set()
-        rows = [gen.row(i) for i in range(k)]
-        import itertools
-        for u in itertools.product(range(ring.order), repeat=k):
-            w = [ring.zero] * n
-            for c, row in zip(u, rows):
-                if c == ring.zero:
-                    continue
-                for j in range(n):
-                    w[j] = add(w[j], mul(c, row[j]))
-            words.add(tuple(w))
-        return frozenset(words)
     u = _batch.all_tuples(ring.order, k)
-    g = np.array([gen.row(i) for i in range(k)], dtype=u.dtype)
+    g = np.array([gen.row(i) for i in range(k)], dtype=np.uint8)
     w = _batch.batch_matmul(ring, u[:, None, :], g)[:, 0, :]
-    codes = np.unique(_batch.encode(ring.order, w))
-    return frozenset(_decode_words(codes, ring.order, n))
-
-
-def _decode_words(codes, order, n):
-    out = []
-    for c in codes.tolist():
-        w = []
-        for _ in range(n):
-            c, x = divmod(c, order)
-            w.append(x)
-        out.append(tuple(reversed(w)))
-    return out
+    return frozenset(map(tuple, w.tolist()))
 
 
 def code_from_generator(ring, gen, budget=DEFAULT_WORD_BUDGET):
@@ -151,7 +123,7 @@ def dual_code(code, budget=DEFAULT_WORD_BUDGET):
     for row in rows:
         r = np.asarray(row, dtype=cands.dtype)
         mask &= _batch.batch_dot(ring, cands, r) == ring.zero
-    words = frozenset(tuple(int(x) for x in w) for w in cands[mask])
+    words = frozenset(map(tuple, cands[mask].tolist()))
     return LinearCode(ring, n, None, words, False)
 
 

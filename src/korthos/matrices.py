@@ -1,8 +1,7 @@
 """Matrices over a finite commutative ring, with the k-orthogonality tests.
 
-Matrices are immutable value types: every operation returns a fresh matrix,
-so they are safe to share across parallel searches.  Entries are stored
-row-major as ring element indices.
+Matrices are immutable value types: every operation returns a fresh matrix.
+Entries are stored row-major as ring element indices.
 """
 
 from __future__ import annotations

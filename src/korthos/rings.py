@@ -9,10 +9,11 @@ enumeration order, so censuses and golden files are reproducible:
 * ``F + vF``         -- pair ``(a, b)`` for ``a + v*b``, index ``= a*|F| + b``;
 * product rings      -- lexicographic by component.
 
-Rings of order <= 256 are table-backed; larger rings compute elementwise on
-demand with identical observable behaviour.  Ring axioms are verified
-exhaustively at construction for order <= 64 (pass ``verify=True`` to force
-the check on larger rings, ``verify=False`` to skip it).
+Every ring is table-backed: addition, multiplication and negation are looked
+up in tables built once at construction, so rings of order above 256
+(``TABLE_CAP``) are rejected there.  Ring axioms are verified exhaustively at
+construction for order <= 64 (pass ``verify=True`` to force the check on
+larger rings, ``verify=False`` to skip it).
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ DEFAULT_MODULI = {
 class Ring:
     """A finite commutative ring with unity; elements are indices 0..order-1.
 
-    Subclasses provide the raw arithmetic (`_raw_add`, `_raw_mul`, `_raw_neg`),
-    rendering, and a structural `key`.  Two descriptors compare equal iff their
-    keys match, so independently constructed copies of the same ring
-    interoperate.
+    Subclasses provide the raw arithmetic (`_raw_add`, `_raw_mul`, `_raw_neg`)
+    that fills the tables at construction, rendering, and a structural `key`.
+    Two descriptors compare equal iff their keys match, so independently
+    constructed copies of the same ring interoperate.
     """
 
     kind = "abstract"
@@ -166,18 +167,18 @@ class Ring:
     def __init__(self, order, verify=None):
         if order < 2:
             raise InvalidParameterError("ring must have at least two elements")
+        if order > TABLE_CAP:
+            raise InvalidParameterError(
+                f"ring of order {order} exceeds the supported order {TABLE_CAP}"
+            )
         self.order = order
-        self._add_rows = None
-        self._mul_rows = None
-        self._neg_list = None
         self._units_cache = None
         self._inv_cache = None
         self._np_cache = None
-        if order <= TABLE_CAP:
-            rng = range(order)
-            self._add_rows = tuple(tuple(self._raw_add(a, b) for b in rng) for a in rng)
-            self._mul_rows = tuple(tuple(self._raw_mul(a, b) for b in rng) for a in rng)
-            self._neg_list = tuple(self._raw_neg(a) for a in rng)
+        rng = range(order)
+        self._add_rows = tuple(tuple(self._raw_add(a, b) for b in rng) for a in rng)
+        self._mul_rows = tuple(tuple(self._raw_mul(a, b) for b in rng) for a in rng)
+        self._neg_list = tuple(self._raw_neg(a) for a in rng)
         if self.one == self.zero:
             raise InvalidParameterError("ring unity coincides with zero")
         c, acc = 1, self.one
@@ -224,19 +225,13 @@ class Ring:
         return a
 
     def add(self, a, b):
-        if self._add_rows is not None:
-            return self._add_rows[a][b]
-        return self._raw_add(a, b)
+        return self._add_rows[a][b]
 
     def mul(self, a, b):
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
-        return self._raw_mul(a, b)
+        return self._mul_rows[a][b]
 
     def neg(self, a):
-        if self._neg_list is not None:
-            return self._neg_list[a]
-        return self._raw_neg(a)
+        return self._neg_list[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -281,17 +276,12 @@ class Ring:
         the zero divisors."""
         return self.order - len(self.units()) - 1
 
-    # numpy views (lazily built; used by the batch helpers) ------------------
+    # numpy views of the tables (lazily built; used by the batch helpers) ----
     def _np_tables(self):
         if self._np_cache is None:
-            if self._add_rows is None:
-                raise InvalidParameterError(
-                    f"vectorized ops need a table-backed ring (order <= {TABLE_CAP})"
-                )
-            dt = np.uint8 if self.order <= 256 else np.int64
             self._np_cache = (
-                np.asarray(self._add_rows, dtype=dt),
-                np.asarray(self._mul_rows, dtype=dt),
+                np.asarray(self._add_rows, dtype=np.uint8),
+                np.asarray(self._mul_rows, dtype=np.uint8),
             )
         return self._np_cache
 
@@ -306,13 +296,8 @@ class Ring:
     # axiom verification ----------------------------------------------------
     def _verify_axioms(self):
         n = self.order
-        if self._add_rows is not None:
-            add = np.asarray(self._add_rows, dtype=np.int64)
-            mul = np.asarray(self._mul_rows, dtype=np.int64)
-        else:
-            rng = range(n)
-            add = np.array([[self._raw_add(a, b) for b in rng] for a in rng], dtype=np.int64)
-            mul = np.array([[self._raw_mul(a, b) for b in rng] for a in rng], dtype=np.int64)
+        add = np.asarray(self._add_rows, dtype=np.int64)
+        mul = np.asarray(self._mul_rows, dtype=np.int64)
 
         def fail(law):
             raise InvariantViolationError(f"{self.literal}: {law} fails")
@@ -350,11 +335,6 @@ class Ring:
 
     def __repr__(self):
         return f"<Ring {self.literal} order={self.order}>"
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_np_cache"] = None
-        return state
 
 
 class ZmodRing(Ring):
@@ -770,6 +750,8 @@ def _parse_single_ring(s):
 
 def parse_ring(text):
     """Parse a ring literal (product components joined by a top-level ``x``)."""
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"a ring literal must be a string, got {text!r}")
     s = text.strip().replace(" ", "")
     if not s:
         raise InvalidParameterError("empty ring literal")

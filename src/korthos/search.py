@@ -267,23 +267,19 @@ def verify_closure(census):
     if m == 0:
         census.checks["closure_verified"] = True
         return True
-    if m <= 64 or ring.order > 256:
-        have = {mat.entries for mat in mats}
-        ok = all((a.mul(b)).entries in have for a in mats for b in mats)
-    else:
-        arr = np.array([mat.entries for mat in mats], dtype=np.uint8).reshape(m, n, n)
-        codes = np.sort(_batch.encode(ring.order, arr.reshape(m, n * n)))
-        ok = True
-        chunk = max(1, (8 << 20) // (m * n * n * n))
-        for lo in range(0, m, chunk):
-            a = arr[lo:lo + chunk][:, None]          # (c,1,n,n)
-            prod = _batch.batch_matmul(ring, a, arr[None, :])
-            pc = _batch.encode(ring.order, prod.reshape(-1, n * n))
-            pos = np.searchsorted(codes, pc)
-            pos[pos == m] = 0
-            if not (codes[pos] == pc).all():
-                ok = False
-                break
+    arr = np.array([mat.entries for mat in mats], dtype=np.uint8).reshape(m, n, n)
+    keys = np.sort(_batch.row_keys(arr.reshape(m, n * n)))
+    ok = True
+    chunk = max(1, (8 << 20) // (m * n * n * n))
+    for lo in range(0, m, chunk):
+        a = arr[lo:lo + chunk][:, None]          # (c,1,n,n)
+        prod = _batch.batch_matmul(ring, a, arr[None, :])
+        pk = _batch.row_keys(prod.reshape(-1, n * n))
+        pos = np.searchsorted(keys, pk)
+        pos[pos == m] = 0
+        if not (keys[pos] == pk).all():
+            ok = False
+            break
     census.checks["closure_verified"] = ok
     return ok
 

@@ -156,6 +156,14 @@ def test_code_drop_rows(capsys):
     assert report["self_dual"] is False
 
 
+@pytest.mark.parametrize("value", ["x", "1,,2"])
+def test_code_bad_drop_rows_exits_1(capsys, value):
+    code, _, err = run(capsys, "code", "--ring", "Z4",
+                       "--A", "3,1,2,1;1,2,3,1;3,3,3,2;2,3,1,1", "--drop-rows", value)
+    assert code == 1
+    assert "korthos: error:" in err and repr(value) in err
+
+
 def test_code_generator_file(tmp_path, capsys):
     path = tmp_path / "gen.txt"
     path.write_text("1,0,4,5;0,1,1,4\n")
@@ -189,6 +197,12 @@ def test_bad_ring_literal_exits_1(capsys):
     code, _, err = run(capsys, "idempotents", "--ring", "Q8")
     assert code == 1
     assert "error" in err
+
+
+def test_ring_above_table_cap_exits_1(capsys):
+    code, _, err = run(capsys, "idempotents", "--ring", "Z257")
+    assert code == 1
+    assert "korthos: error:" in err and "256" in err
 
 
 def test_missing_table_file_exits_1(capsys):
@@ -245,6 +259,31 @@ def test_malformed_table_file_exits_1(tmp_path, capsys, text, needle):
         path = tmp_path / "table.json"
         path.write_text(text)
     code, _, err = run(capsys, "verify", "--table", str(path))
+    assert code == 1
+    assert "korthos: error:" in err and needle in err
+
+
+@pytest.mark.parametrize("command,text,needle", [
+    ("verify", '{"ring": "Z6", "n": 2, "rows": [{"k": "0", "o": 1}]}', "'rows'"),
+    ("tables", '{"ring": "Z6", "n": 2, "rows": [{"k": "0", "lo": 1}]}', "'rows'"),
+    ("verify", '{"ring": "Z6", "n": 2, "rows": 5}', "'rows'"),
+    ("verify", '{"ring": 6, "n": 2, "rows": []}', "ring literal"),
+    ("tables", '{"ring": 6, "n": 2, "rows": []}', "ring literal"),
+    ("verify", '{"ring": "Z6", "n": 2, "k": 7, "lo": []}', "'k'"),
+    ("verify", '{"ring": "Z6", "n": 2, "k": "1", "lo": 5}', "'lo'"),
+    ("verify", None, "directory"),
+    ("tables", None, "directory"),
+], ids=["row-without-lo", "row-without-o", "rows-not-list", "ring-not-str",
+        "golden-ring-not-str", "k-not-str", "lo-not-list", "directory",
+        "golden-directory"])
+def test_bad_table_shape_exits_1(tmp_path, capsys, command, text, needle):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "table.json"
+        path.write_text(text)
+    argv = (("verify", "--table", str(path)) if command == "verify" else
+            ("tables", "--ring", "Z6", "--n", "2", "--golden", str(path)))
+    code, _, err = run(capsys, *argv)
     assert code == 1
     assert "korthos: error:" in err and needle in err
 

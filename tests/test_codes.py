@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,10 +61,21 @@ def test_octacode_span():
     assert code.size == 256
 
 
+def test_long_code_span_matches_plain_span():
+    # length 37 over Z4: 4^37 >= 2^63, too long to pack a word into one int64
+    rng = random.Random(2021)
+    a = Mat(Z4, 7, 30, [rng.randrange(4) for _ in range(7 * 30)])
+    cols = [[a[i, j] for i in range(7)] for j in range(30)]
+    want = {u + tuple(sum(c * x for c, x in zip(u, col)) % 4 for col in cols)
+            for u in itertools.product(range(4), repeat=7)}
+    assert systematic_from_A(a).words == want
+
+
 def test_empty_A_gives_the_full_code():
     code = systematic_from_A(Mat(Z4, 2, 0, []))
     assert code.length == 2
     assert code.size == 16
+    assert code_from_generator(Z4, Mat(Z4, 2, 0, [])).words == {()}
 
 
 def test_non_systematic_generator_detected():

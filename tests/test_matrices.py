@@ -178,8 +178,9 @@ def test_transpose_antihomomorphism(a, b):
 def test_matmul_associative_all_2x2_triples_over_r2():
     mats = all_matrices_array(R2, 2, 2)          # 256 matrices
     prods = _batch.batch_matmul(R2, mats[:, None], mats[None, :])
-    # every product is itself a 2x2 matrix whose lexicographic rank is its code
-    table = _batch.encode(R2.order, prods.reshape(256, 256, 4)).astype(np.int32)
+    # every product is itself a 2x2 matrix; index it by its lexicographic rank
+    weights = R2.order ** np.arange(3, -1, -1)
+    table = (prods.reshape(256, 256, 4).astype(np.int64) * weights).sum(axis=-1)
     lhs = table[table, :]            # (i,j,k) -> P[P[i,j], k]
     rhs = table[:, table]            # (i,j,k) -> P[i, P[j,k]]
     assert (lhs == rhs).all()

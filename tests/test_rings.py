@@ -218,13 +218,17 @@ def test_verify_flag_forces_check_on_larger_rings():
     assert not skipped.laws_verified
 
 
-def test_large_ring_lazy_ops_match_table_ops():
-    # above the table cap, arithmetic is computed on demand
-    big = make_zmod(300)
-    assert big._add_rows is None
-    assert big.add(299, 2) == 1
-    assert big.mul(150, 2) == 0
-    assert big.neg(1) == 299
+def test_rings_above_table_cap_are_rejected():
+    # every ring is table-backed, so order 256 is the largest supported
+    for build in (lambda: make_zmod(257),
+                  lambda: parse_ring("Z17xZ17"),
+                  lambda: parse_ring("GF(17)+vGF(17)[v2=1]")):
+        with pytest.raises(InvalidParameterError):
+            build()
+    z256 = make_zmod(256)
+    assert z256.add(255, 2) == 1
+    assert z256.mul(128, 2) == 0
+    assert z256.neg(1) == 255
 
 
 # ---------------------------------------------------------------------------

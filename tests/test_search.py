@@ -22,7 +22,7 @@ from korthos import (
     verify_closure,
     verify_group,
 )
-from korthos.search import resolve_budget
+from korthos.search import SemigroupCensus, resolve_budget
 
 from helpers import ring_family
 
@@ -153,6 +153,15 @@ def test_non_idempotent_k_closure_is_reported_not_asserted():
     assert census.count > 0
     assert verify_closure(census) is False
     assert scalar_mat(Z6, 2, 2) not in census.element_set()
+
+
+def test_closure_compares_every_entry_of_wide_matrices():
+    # over Z256 at n = 3 a matrix is 72 bits wide; D^2 = diag(4,1,1) is
+    # missing from {I, D} although it differs from I in the first entry only
+    z256 = make_zmod(256)
+    d = Mat.from_text(z256, "2,0,0;0,1,0;0,0,1")
+    census = SemigroupCensus(z256, 3, 1, "left", [identity(z256, 3), d])
+    assert verify_closure(census) is False
 
 
 def test_group_structure_of_k_one_censuses():
