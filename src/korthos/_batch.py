@@ -1,14 +1,26 @@
 """Vectorized arithmetic on numpy arrays of ring element indices.
 
-Used where brute-force scale demands it (naive enumeration oracles, closure
-verification, code spans and dual-code sweeps).  Every ring is table-backed,
-so element indices fit in ``uint8``; the functions operate on arrays whose
-values are element indices.
+Every ring is table-backed, so element indices fit in ``uint8``; the
+functions operate on arrays whose values are element indices.  The search,
+the censuses, the orthogonality predicates, closure, the CRT bijection, code
+spans and dual sweeps all run here.  `gram_is_scalar` is the one Gram test
+behind every k-orthogonality check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# entries of the widest temporary a chunked batch op builds
+CHUNK = 1 << 22
+
+
+def chunks(total, width):
+    """Slices covering range(total), each at most CHUNK // width long."""
+    step = max(1, CHUNK // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, total, step)]
 
 
 def all_tuples(order, length):
@@ -23,29 +35,42 @@ def all_tuples(order, length):
     return out
 
 
-def fold_add(ring, arrays):
-    """Ring sum of an iterable of equal-shape index arrays."""
+def fold_add(ring, t):
+    """Ring sum of t along its last axis; zero when that axis is empty."""
+    if t.shape[-1] == 0:
+        return np.full(t.shape[:-1], ring.zero, dtype=np.uint8)
     add = ring.add_np
-    it = iter(arrays)
-    acc = next(it)
-    for a in it:
-        acc = add[acc, a]
+    acc = t[..., 0]
+    for j in range(1, t.shape[-1]):
+        acc = add[acc, t[..., j]]
     return acc
 
 
 def batch_matmul(ring, a, b):
     """Matrix product over the ring; a is (..., n, m), b is (..., m, p),
     broadcasting on the leading axes."""
-    mul = ring.mul_np
-    t = mul[a[..., :, :, None], b[..., None, :, :]]  # (..., n, m, p)
-    return fold_add(ring, (t[..., k, :] for k in range(t.shape[-2])))
+    t = ring.mul_np[a[..., :, None, :], b.swapaxes(-1, -2)[..., None, :, :]]
+    return fold_add(ring, t)  # t is (..., n, p, m)
 
 
 def batch_dot(ring, u, v):
     """Inner products along the last axis, broadcasting on the rest."""
-    mul = ring.mul_np
-    t = mul[u, v]
-    return fold_add(ring, (t[..., k] for k in range(t.shape[-1])))
+    return fold_add(ring, ring.mul_np[u, v])
+
+
+def gram_is_scalar(ring, vecs, k):
+    """True where the r vectors of a (..., r, length) array have Gram
+    matrix k*I, i.e. pairwise inner products 0 and self products k."""
+    *lead, r, length = vecs.shape
+    flat = vecs.reshape(math.prod(lead), r, length)
+    target = np.full((r, r), ring.zero, dtype=np.uint8)
+    np.fill_diagonal(target, k)
+    out = np.empty(len(flat), dtype=bool)
+    for part in chunks(len(flat), r * r * length):
+        v = flat[part]
+        gram = batch_matmul(ring, v, v.swapaxes(-1, -2))
+        out[part] = (gram == target).all(axis=(-2, -1))
+    return out.reshape(lead)
 
 
 def row_keys(flat):

@@ -22,7 +22,7 @@ from .errors import (
     NotApplicableError,
     UndefinedDistanceError,
 )
-from .matrices import Mat, hstack, identity, scalar_mat
+from .matrices import Mat, _array, _gram_is, hstack, identity
 from .rings import Ring, ZmodRing
 
 DEFAULT_WORD_BUDGET = 10 ** 6
@@ -71,8 +71,7 @@ def _span_words(ring, gen, budget):
             f"spanning {messages} messages exceeds the budget of {budget}"
         )
     u = _batch.all_tuples(ring.order, k)
-    g = np.array([gen.row(i) for i in range(k)], dtype=np.uint8)
-    w = _batch.batch_matmul(ring, u[:, None, :], g)[:, 0, :]
+    w = _batch.batch_matmul(ring, u[:, None, :], _array(gen))[:, 0, :]
     return frozenset(map(tuple, w.tolist()))
 
 
@@ -138,10 +137,9 @@ def anti_orthogonal_check(a):
     (-1)-orthogonal matrix is invertible."""
     if not a.is_square():
         raise InvalidParameterError("antiorthogonality is defined for square matrices")
-    ring = a.ring
-    neg_i = scalar_mat(ring, ring.neg(ring.one), a.rows)
-    left = a.transpose().mul(a) == neg_i
-    right = a.mul(a.transpose()) == neg_i
+    minus_one = a.ring.neg(a.ring.one)
+    left = _gram_is(a, minus_one, columns=True)
+    right = _gram_is(a, minus_one)
     if left != right:
         raise InvariantViolationError("one-sided antiorthogonal matrix encountered")
     return OrthPair(left, right)
@@ -149,23 +147,20 @@ def anti_orthogonal_check(a):
 
 def row_anti_orthogonal_check(a):
     """A A^T = -I_k for a rectangular k x m matrix."""
-    ring = a.ring
-    return a.mul(a.transpose()) == scalar_mat(ring, ring.neg(ring.one), a.rows)
+    return _gram_is(a, a.ring.neg(a.ring.one))
 
 
 def self_orthogonal_check(a):
     """Left/right 0-orthogonality; the sides can genuinely differ."""
     if not a.is_square():
         raise InvalidParameterError("self-orthogonality is defined for square matrices")
-    ring = a.ring
-    zero = scalar_mat(ring, ring.zero, a.rows)
-    return OrthPair(a.transpose().mul(a) == zero, a.mul(a.transpose()) == zero)
+    zero = a.ring.zero
+    return OrthPair(_gram_is(a, zero, columns=True), _gram_is(a, zero))
 
 
 def row_self_orthogonal_check(gen):
     """G G^T = 0 for a rectangular generator."""
-    ring = gen.ring
-    return gen.mul(gen.transpose()) == scalar_mat(ring, ring.zero, gen.rows)
+    return _gram_is(gen, gen.ring.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +211,11 @@ def duality_report(code, budget=DEFAULT_WORD_BUDGET):
     lcd = (code.words & dual.words) == {zero_word}
     gram_nonsingular = None
     if code.generator is not None:
-        gram = code.generator.mul(code.generator.transpose())
-        gram_nonsingular = code.ring.is_unit(gram.det())
+        # G G^T straight from the entries: a length-0 code has no G^T
+        g = _array(code.generator)
+        gram = _batch.batch_matmul(code.ring, g, g.T)
+        gram_nonsingular = code.ring.is_unit(
+            Mat(code.ring, len(gram), len(gram), gram.ravel().tolist()).det())
     try:
         hd = hamming_distance(code)
     except UndefinedDistanceError:

@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _batch
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -30,7 +33,7 @@ from .rings import (
     ZmodRing,
     make_zmod,
 )
-from .search import enumerate_naive, enumerate_semigroup, normalize_side
+from .search import _naive_array, enumerate_semigroup, normalize_side
 
 VERIFY_SPLIT_CAP = 64
 
@@ -212,32 +215,28 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     direct = enumerate_semigroup(ring, n, k, side, budget=budget)
     nodes = direct.nodes
 
-    factor_sets = []
-    factor_counts = []
+    factor_arrays = []
     for factor, aj in zip(crt_split.factors, a):
         try:
-            mats = enumerate_naive(factor, n, aj, side)
+            arr = _naive_array(factor, n, aj, side)
         except BudgetExceededError:
             census = enumerate_semigroup(factor, n, aj, side, budget=budget)
             nodes += census.nodes
-            mats = census.elements
-        factor_sets.append({m.entries for m in mats})
-        factor_counts.append(len(mats))
+            arr = census.array
+        factor_arrays.append(arr.reshape(-1, n * n))
+    factor_counts = [len(arr) for arr in factor_arrays]
+    product = math.prod(factor_counts)
 
-    product = 1
-    for c in factor_counts:
-        product *= c
-
-    images = set()
-    bijection_ok = True
-    for mat in direct.elements:
-        comps = map_matrix(crt_split, mat)
-        if any(c.entries not in s for c, s in zip(comps, factor_sets)):
-            bijection_ok = False
-            break
-        images.add(tuple(c.entries for c in comps))
+    # images[e, :, j] is the j-th factor image of the e-th direct element
+    forward = np.array([crt_split.forward(e) for e in ring.elements()], dtype=np.uint8)
+    images = forward[direct.array.reshape(-1, n * n)]
+    bijection_ok = direct.count == product and all(
+        np.isin(_batch.row_keys(images[:, :, j]), _batch.row_keys(arr)).all()
+        for j, arr in enumerate(factor_arrays))
     if bijection_ok:
-        bijection_ok = len(images) == direct.count == product
+        # distinct elements must have distinct image tuples
+        keys = np.sort(_batch.row_keys(images.reshape(direct.count, -1)))
+        bijection_ok = bool((keys[1:] != keys[:-1]).all())
 
     return {
         "ring": ring.literal,
@@ -291,5 +290,5 @@ def orth_group_order(ring, n, budget=None):
     crt_split.require_fields()
     out = 1
     for factor in crt_split.factors:
-        out *= len(enumerate_naive(factor, n, factor.one, "two_sided"))
+        out *= len(_naive_array(factor, n, factor.one, "two_sided"))
     return out

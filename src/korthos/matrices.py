@@ -1,13 +1,19 @@
 """Matrices over a finite commutative ring, with the k-orthogonality tests.
 
 Matrices are immutable value types: every operation returns a fresh matrix.
-Entries are stored row-major as ring element indices.
+Entries are stored row-major as ring element indices.  `Mat` is the
+one-matrix view of the public API; censuses are held as index arrays (see
+`search`), and every k-orthogonality test, here and in `codes`, runs through
+the one numpy Gram kernel `_batch.gram_is_scalar`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _batch
 from .errors import (
     DimensionMismatchError,
     RingMismatchError,
@@ -93,9 +99,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.ring.key, self.rows, self.cols, self.entries))
-
-    def _sort_key(self):
-        return self.entries
 
     # arithmetic ----------------------------------------------------------
     def _require_same_ring(self, other):
@@ -262,31 +265,16 @@ class OrthClass:
         }
 
 
-def _gram_matches(ring, vecs, k):
-    """True iff the Gram matrix of `vecs` equals k*I.
-
-    The only inner-product loop behind the orthogonality tests and the
-    search; it stays written out because it runs once per census element.
-    """
-    add, mul = ring.add, ring.mul
-    zero = ring.zero
-    n = len(vecs)
-    for i in range(n):
-        vi = vecs[i]
-        for j in range(i, n):
-            vj = vecs[j]
-            acc = zero
-            for t in range(len(vi)):
-                acc = add(acc, mul(vi[t], vj[t]))
-            if acc != (k if i == j else zero):
-                return False
-    return True
+def _array(a):
+    """The entries of `a` as a (rows, cols) uint8 index array."""
+    return np.array(a.entries, dtype=np.uint8).reshape(a.rows, a.cols)
 
 
-def _rows_gram_matches(a, k):
-    """A A^T = k I for a square `a`, without validating the arguments."""
-    e, n = a.entries, a.cols
-    return _gram_matches(a.ring, [e[i * n:(i + 1) * n] for i in range(n)], k)
+def _gram_is(a, k, columns=False):
+    """True iff the rows of `a` (its columns with columns=True) have Gram
+    matrix k*I; any shape, no argument checks."""
+    vecs = _array(a)
+    return bool(_batch.gram_is_scalar(a.ring, vecs.T if columns else vecs, k))
 
 
 def is_left_k_orthogonal(a, k):
@@ -294,7 +282,7 @@ def is_left_k_orthogonal(a, k):
     if not a.is_square():
         raise DimensionMismatchError("k-orthogonality is defined for square matrices")
     a.ring.check_element(k)
-    return _gram_matches(a.ring, [a.col(j) for j in range(a.cols)], k)
+    return _gram_is(a, k, columns=True)
 
 
 def is_right_k_orthogonal(a, k):
@@ -302,7 +290,7 @@ def is_right_k_orthogonal(a, k):
     if not a.is_square():
         raise DimensionMismatchError("k-orthogonality is defined for square matrices")
     a.ring.check_element(k)
-    return _rows_gram_matches(a, k)
+    return _gram_is(a, k)
 
 
 def classify_k_orthogonal(a, k):

@@ -10,10 +10,12 @@ enumeration order, so censuses and golden files are reproducible:
 * product rings      -- lexicographic by component.
 
 Every ring is table-backed: addition, multiplication and negation are looked
-up in tables built once at construction, so rings of order above 256
-(``TABLE_CAP``) are rejected there.  Ring axioms are verified exhaustively at
-construction for order <= 64 (pass ``verify=True`` to force the check on
-larger rings, ``verify=False`` to skip it).
+up in ``uint8`` numpy tables (``add_np``, ``mul_np``, ``neg_np``) built once
+at construction, so rings of order above 256 (``TABLE_CAP``) are rejected
+there.  These arrays are the only tables: the scalar methods and the
+vectorized ops in ``_batch`` index the same ones.  Ring axioms are verified
+exhaustively at construction for order <= 64 (pass ``verify=True`` to force
+the check on larger rings, ``verify=False`` to skip it).
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_add(p, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim((x + y) % p for x, y in zip(a, b))
 
 
 def _poly_mul(p, a, b):
@@ -174,11 +169,10 @@ class Ring:
         self.order = order
         self._units_cache = None
         self._inv_cache = None
-        self._np_cache = None
         rng = range(order)
-        self._add_rows = tuple(tuple(self._raw_add(a, b) for b in rng) for a in rng)
-        self._mul_rows = tuple(tuple(self._raw_mul(a, b) for b in rng) for a in rng)
-        self._neg_list = tuple(self._raw_neg(a) for a in rng)
+        self.add_np = np.array([[self._raw_add(a, b) for b in rng] for a in rng], dtype=np.uint8)
+        self.mul_np = np.array([[self._raw_mul(a, b) for b in rng] for a in rng], dtype=np.uint8)
+        self.neg_np = np.array([self._raw_neg(a) for a in rng], dtype=np.uint8)
         if self.one == self.zero:
             raise InvalidParameterError("ring unity coincides with zero")
         c, acc = 1, self.one
@@ -225,13 +219,13 @@ class Ring:
         return a
 
     def add(self, a, b):
-        return self._add_rows[a][b]
+        return self.add_np.item(a, b)
 
     def mul(self, a, b):
-        return self._mul_rows[a][b]
+        return self.mul_np.item(a, b)
 
     def neg(self, a):
-        return self._neg_list[a]
+        return self.neg_np.item(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -276,28 +270,11 @@ class Ring:
         the zero divisors."""
         return self.order - len(self.units()) - 1
 
-    # numpy views of the tables (lazily built; used by the batch helpers) ----
-    def _np_tables(self):
-        if self._np_cache is None:
-            self._np_cache = (
-                np.asarray(self._add_rows, dtype=np.uint8),
-                np.asarray(self._mul_rows, dtype=np.uint8),
-            )
-        return self._np_cache
-
-    @property
-    def add_np(self):
-        return self._np_tables()[0]
-
-    @property
-    def mul_np(self):
-        return self._np_tables()[1]
-
     # axiom verification ----------------------------------------------------
     def _verify_axioms(self):
         n = self.order
-        add = np.asarray(self._add_rows, dtype=np.int64)
-        mul = np.asarray(self._mul_rows, dtype=np.int64)
+        add = self.add_np.astype(np.int64)
+        mul = self.mul_np.astype(np.int64)
 
         def fail(law):
             raise InvariantViolationError(f"{self.literal}: {law} fails")

@@ -6,18 +6,26 @@ assignment is extended only by columns orthogonal to every settled column.
 The right census runs the identical search on rows; the two-sided census
 filters the left census by the row condition.
 
+A census is one (count, n, n) uint8 array of entry indices in canonical
+order: the backtracking yields index tuples of candidates, `cands[choices]`
+builds every matrix at once, and one sort by row keys orders them.  Every
+Gram test (candidates, pairs, the two-sided filter, the O counts) is the
+numpy kernel `_batch.gram_is_scalar` or, for pairs, its inner products.
+
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes; exceeding it raises and
-returns nothing partial.  `enumerate_naive` is the independent brute-force
-oracle: it tests every one of the |R|^(n*n) matrices directly against the
-defining equation.
+returns nothing partial.  The candidate and pair sweeps charge their nodes
+before they allocate, so an oversize search fails at once, and the error
+names the budget and the nodes counted.  `enumerate_naive` is the
+independent brute-force oracle: it tests every one of the |R|^(n*n)
+matrices directly against the defining equation.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from .errors import (
     InvariantViolationError,
     NotApplicableError,
 )
-from .matrices import Mat, _gram_matches, _rows_gram_matches, identity, scalar_mat
+from .matrices import Mat, identity, scalar_mat
 from .rings import Ring, VExtensionRing
 
 DEFAULT_BUDGET = 10 ** 8
@@ -71,65 +79,84 @@ class _NodeCounter:
         self.spent += n
         if self.spent > self.limit:
             raise BudgetExceededError(
-                f"search exceeded the node budget of {self.limit}"
+                f"search exceeded the node budget of {self.limit} "
+                f"({self.spent} nodes counted)"
             )
 
 
-@dataclass
+def _mats(ring, n, arr):
+    """Mat views of an (m, n, n) index array, in its order."""
+    return [Mat(ring, n, n, e) for e in arr.reshape(-1, n * n).tolist()]
+
+
+@dataclass(eq=False)
 class SemigroupCensus:
     """The full element set of LO/RO/O_n(k, R) plus verification metadata.
 
-    `checks` values are True/False once the corresponding verification has
-    run and None while it has not.
+    `array` holds the elements as one (count, n, n) uint8 array of entry
+    indices in canonical order (lexicographic by row-major entries);
+    `elements` lists them as `Mat` views, built on first use.  `checks`
+    values are True/False once the corresponding verification has run and
+    None while it has not.
     """
 
     ring: Ring
     n: int
     k: int
     side: str
-    elements: list
+    array: np.ndarray
     checks: dict = field(default_factory=dict)
     nodes: int = 0
 
     @property
     def count(self):
-        return len(self.elements)
+        return len(self.array)
+
+    @cached_property
+    def elements(self):
+        return _mats(self.ring, self.n, self.array)
+
+    @property
+    def _keys(self):
+        """Row keys of the elements (see `_batch.row_keys`), sorted because
+        the array is in canonical order."""
+        return _batch.row_keys(self.array.reshape(-1, self.n * self.n))
 
     def element_set(self):
         return set(self.elements)
 
     def __contains__(self, mat):
-        return mat in self.element_set()
+        if not (isinstance(mat, Mat) and mat.ring == self.ring
+                and mat.rows == mat.cols == self.n):
+            return False
+        keys, key = self._keys, _batch.row_keys(np.array(mat.entries, dtype=np.uint8))
+        pos = np.searchsorted(keys, key)
+        return bool(pos < self.count and keys[pos] == key)
 
 
 # ---------------------------------------------------------------------------
 # pruned backtracking search
 
 def _column_candidates(ring, n, k, counter):
-    """All vectors c in R^n with <c, c> = k."""
-    out = []
-    for vec in itertools.product(range(ring.order), repeat=n):
-        counter.spend()
-        if _gram_matches(ring, (vec,), k):
-            out.append(vec)
-    return out
+    """All vectors c in R^n with <c, c> = k, as an (m, n) index array."""
+    counter.spend(ring.order ** n)
+    vecs = _batch.all_tuples(ring.order, n)
+    return vecs[_batch.gram_is_scalar(ring, vecs[:, None, :], k)]
 
 
 def _orth_sets(ring, cands, k, counter):
     """orth[i] = indices j with <cands[i], cands[j]> = 0 (symmetric).
 
     Every candidate has <c, c> = k, so the Gram matrix of a pair is kI
-    exactly when the pair is orthogonal; for i = j that means k = 0.
+    exactly when the pair is orthogonal; for i = j that means k = 0.  One
+    node per unordered pair, as in a pair-by-pair sweep.
     """
-    m = len(cands)
-    orth = [set() for _ in range(m)]
-    for i in range(m):
-        ci = cands[i]
-        for j in range(i, m):
-            counter.spend()
-            if _gram_matches(ring, (ci, cands[j]), k):
-                orth[i].add(j)
-                orth[j].add(i)
+    m, width = cands.shape
+    counter.spend(m * (m + 1) // 2)
+    orth = []
+    for part in _batch.chunks(m, m * width):
+        zero = _batch.batch_dot(ring, cands[part, None, :], cands[None, :, :]) == ring.zero
+        orth.extend(set(np.flatnonzero(row).tolist()) for row in zero)
     return orth
 
 
@@ -152,15 +179,6 @@ def _backtrack(cands, orth, n, counter):
     yield from rec(range(len(cands)))
 
 
-def _mat_from_choice(ring, n, cands, choice, side):
-    if side == "right":
-        entries = [x for j in choice for x in cands[j]]
-    else:
-        # chosen vectors are the columns
-        entries = [cands[choice[c]][r] for r in range(n) for c in range(n)]
-    return Mat(ring, n, n, entries)
-
-
 def enumerate_semigroup(ring, n, k, side="left", budget=None):
     """Enumerate LO_n(k,R) / RO_n(k,R) / O_n(k,R) exactly.
 
@@ -175,27 +193,26 @@ def enumerate_semigroup(ring, n, k, side="left", budget=None):
 
     cands = _column_candidates(ring, n, k, counter)
     orth = _orth_sets(ring, cands, k, counter)
-    mats = (_mat_from_choice(ring, n, cands, choice, side)
-            for choice in _backtrack(cands, orth, n, counter))
+    choices = np.fromiter(_backtrack(cands, orth, n, counter),
+                          dtype=np.dtype((np.intp, n)))
+    arr = cands[choices]                     # chosen vectors as rows
+    if side != "right":
+        arr = arr.swapaxes(1, 2)             # chosen vectors as columns
     if side == "two_sided":
-        mats = (m for m in mats if _rows_gram_matches(m, k))
-    mats = sorted(mats, key=lambda m: m.entries)
+        arr = arr[_batch.gram_is_scalar(ring, arr, k)]
+    arr = arr[np.argsort(_batch.row_keys(arr.reshape(-1, n * n)), kind="stable")]
 
     census = SemigroupCensus(
-        ring=ring, n=n, k=k, side=side, elements=mats,
+        ring=ring, n=n, k=k, side=side, array=arr,
         checks={"closure_verified": None, "identity_present": None, "is_group": None},
         nodes=counter.spent,
     )
-    ident = identity(ring, n)
-    present = any(m.entries == ident.entries for m in mats)
-    census.checks["identity_present"] = present
-    if ring.mul(k, k) == k:
+    census.checks["identity_present"] = identity(ring, n) in census
+    if ring.mul(k, k) == k and scalar_mat(ring, k, n) not in census:
         # for idempotent k the scalar matrix kI must have been found
-        want = scalar_mat(ring, k, n).entries
-        if not any(m.entries == want for m in mats):
-            raise InvariantViolationError(
-                f"search bug: scalar matrix missing from census over {ring.literal}"
-            )
+        raise InvariantViolationError(
+            f"search bug: scalar matrix missing from census over {ring.literal}"
+        )
     return census
 
 
@@ -224,8 +241,14 @@ def enumerate_naive(ring, n, k, side="left", cap=NAIVE_CAP):
     """Direct |R|^(n*n) sweep testing every matrix against the definition.
 
     Independent of the pruned search; used as its oracle and for counting
-    orthogonal groups over residue fields.
+    orthogonal groups over residue fields.  The sweep runs in lexicographic
+    order, so the matrices come out in canonical order.
     """
+    return _mats(ring, n, _naive_array(ring, n, k, side, cap))
+
+
+def _naive_array(ring, n, k, side="left", cap=NAIVE_CAP):
+    """`enumerate_naive` as an (m, n, n) index array."""
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
     ring.check_element(k)
@@ -246,10 +269,7 @@ def enumerate_naive(ring, n, k, side="left", cap=NAIVE_CAP):
         mask = ok_right
     else:
         mask = ok_left & ok_right
-    picked = mats[mask]
-    out = [Mat(ring, n, n, tuple(int(x) for x in flat)) for flat in picked.reshape(-1, n * n)]
-    out.sort(key=lambda m: m.entries)
-    return out
+    return mats[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +281,10 @@ def verify_closure(census):
     Guaranteed to hold when k is idempotent; for other k this simply reports
     whatever is true.  Updates ``census.checks['closure_verified']``.
     """
-    mats = census.elements
-    m = len(mats)
-    ring, n = census.ring, census.n
-    if m == 0:
-        census.checks["closure_verified"] = True
-        return True
-    arr = np.array([mat.entries for mat in mats], dtype=np.uint8).reshape(m, n, n)
-    keys = np.sort(_batch.row_keys(arr.reshape(m, n * n)))
+    arr, keys, m, n = census.array, census._keys, census.count, census.n
     ok = True
-    chunk = max(1, (8 << 20) // (m * n * n * n))
-    for lo in range(0, m, chunk):
-        a = arr[lo:lo + chunk][:, None]          # (c,1,n,n)
-        prod = _batch.batch_matmul(ring, a, arr[None, :])
+    for part in _batch.chunks(m, m * n * n * n):
+        prod = _batch.batch_matmul(census.ring, arr[part, None], arr[None, :])
         pk = _batch.row_keys(prod.reshape(-1, n * n))
         pos = np.searchsorted(keys, pk)
         pos[pos == m] = 0
@@ -320,8 +331,9 @@ def transpose_bijection_check(left_census, right_census):
     if (left_census.ring, left_census.n, left_census.k) != (
             right_census.ring, right_census.n, right_census.k):
         raise InvalidParameterError("censuses must share ring, degree and k")
-    transposed = {a.transpose() for a in left_census.elements}
-    return transposed == right_census.element_set()
+    n = left_census.n
+    transposed = left_census.array.swapaxes(1, 2).reshape(-1, n * n)
+    return np.array_equal(np.sort(_batch.row_keys(transposed)), right_census._keys)
 
 
 def disjoint_or_equal_check(ring, n, k, k2, side="left", budget=None):
@@ -335,8 +347,7 @@ def disjoint_or_equal_check(ring, n, k, k2, side="left", budget=None):
         return "equal"
     a = enumerate_semigroup(ring, n, k, side, budget=budget)
     b = enumerate_semigroup(ring, n, k2, side, budget=budget)
-    common = a.element_set() & b.element_set()
-    if common:
+    if np.isin(a._keys, b._keys).any():
         raise InvariantViolationError(
             "distinct idempotents produced overlapping censuses"
         )
@@ -371,7 +382,7 @@ def census_table(ring, n, budget=None):
     rows = []
     for k in ring.idempotents():
         lo = enumerate_semigroup(ring, n, k, "left", budget=budget)
-        o = sum(1 for m in lo.elements if _rows_gram_matches(m, k))
+        o = int(_batch.gram_is_scalar(ring, lo.array, k).sum())
         rows.append({
             "k": ring.render(k),
             "lo": lo.count,
@@ -394,11 +405,12 @@ def antiorthogonal_exists(ring, n, budget=None):
     counter = _NodeCounter(resolve_budget(budget))
     cands = _column_candidates(ring, n, k, counter)
     orth = _orth_sets(ring, cands, k, counter)
-    for choice in _backtrack(cands, orth, n, counter):
-        m = _mat_from_choice(ring, n, cands, choice, "left")
-        if not _rows_gram_matches(m, k):
-            # a (-1)-orthogonal matrix is invertible, so one-sidedness
-            # cannot happen; treat it as a search bug
-            raise InvariantViolationError("left antiorthogonal witness was not right antiorthogonal")
-        return m
-    return None
+    choice = next(_backtrack(cands, orth, n, counter), None)
+    if choice is None:
+        return None
+    a = cands[list(choice)].T                # chosen vectors are the columns
+    if not _batch.gram_is_scalar(ring, a, k):
+        # a (-1)-orthogonal matrix is invertible, so one-sidedness
+        # cannot happen; treat it as a search bug
+        raise InvariantViolationError("left antiorthogonal witness was not right antiorthogonal")
+    return _mats(ring, n, a)[0]

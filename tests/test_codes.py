@@ -196,6 +196,20 @@ def test_row_self_orthogonal():
     assert not row_self_orthogonal_check(identity(Z6, 2))
 
 
+@given(rows=st.integers(1, 3), cols=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_predicates_match_matrix_products(rows, cols, data):
+    # the numpy Gram kernel against G G^T (and G^T G) from Mat.mul
+    g = Mat(Z6, rows, cols, data.draw(st.lists(st.integers(0, 5), min_size=rows * cols,
+                                               max_size=rows * cols)))
+    gram = g.mul(g.transpose())
+    assert row_self_orthogonal_check(g) == (gram == zeros(Z6, rows))
+    assert row_anti_orthogonal_check(g) == (gram == identity(Z6, rows).neg())
+    if rows == cols:
+        cogram = g.transpose().mul(g)
+        assert self_orthogonal_check(g) == (cogram == zeros(Z6, rows), gram == zeros(Z6, rows))
+
+
 def test_drop_rows_validation():
     with pytest.raises(InvalidParameterError):
         drop_rows(OCT_A, [0])
@@ -246,6 +260,15 @@ def test_lcd_example():
     code = code_from_generator(F2, Mat.from_text(F2, "1,0;0,1"))
     report = duality_report(code)
     assert report.lcd and report.self_dual is False
+
+
+def test_length_zero_code_report():
+    gen = Mat(Z4, 2, 0, [])
+    report = duality_report(code_from_generator(Z4, gen))
+    assert report == (1, True, True, True, False, None, None)
+    assert report.dual_size == 1 and report.gram_nonsingular is False
+    assert row_self_orthogonal_check(gen) is True
+    assert row_anti_orthogonal_check(gen) is False
 
 
 def test_gram_nonsingular_is_reported_independently():

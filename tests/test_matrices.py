@@ -254,6 +254,27 @@ def test_scaling_converse_fails_on_the_reversal_witness():
     assert is_right_k_orthogonal(a.scale(ONE_PLUS_V), ONE_PLUS_V)
 
 
+@pytest.mark.parametrize("ring", [R2, make_zmod(4)], ids=["R2", "Z4"])
+def test_gram_predicates_match_matrix_products(ring):
+    # the numpy Gram kernel against A^T A and A A^T from Mat.mul
+    for flat in all_matrices_array(ring, 2, 2).reshape(-1, 4).tolist():
+        a = Mat(ring, 2, 2, flat)
+        left, right = a.transpose().mul(a), a.mul(a.transpose())
+        for k in ring.elements():
+            want = scalar_mat(ring, k, 2)
+            assert is_left_k_orthogonal(a, k) == (left == want)
+            assert is_right_k_orthogonal(a, k) == (right == want)
+
+
+@given(a=z6_mats_3x3())
+@settings(max_examples=60, deadline=None)
+def test_gram_predicates_match_matrix_products_3x3(a):
+    for k in range(6):
+        want = scalar_mat(Z6, k, 3)
+        assert is_left_k_orthogonal(a, k) == (a.transpose().mul(a) == want)
+        assert is_right_k_orthogonal(a, k) == (a.mul(a.transpose()) == want)
+
+
 @pytest.mark.parametrize("ring", [make_zmod(2), make_zmod(3)])
 def test_left_equals_right_for_k_one_over_fields(ring):
     left = enumerate_naive(ring, 2, ring.one, "left")

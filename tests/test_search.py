@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from korthos import (
@@ -101,6 +102,26 @@ def test_census_elements_are_canonically_sorted():
     assert ents == sorted(ents)
 
 
+@pytest.mark.parametrize("ring", [R2, Z6], ids=["R2", "Z6"])
+@pytest.mark.parametrize("side", ["left", "right", "two_sided"])
+def test_census_array_is_canonical_and_matches_elements(ring, side):
+    for k in ring.elements():
+        census = enumerate_semigroup(ring, 2, k, side)
+        arr = census.array
+        assert arr.dtype == np.uint8 and arr.shape == (census.count, 2, 2)
+        rows = [tuple(r) for r in arr.reshape(-1, 4).tolist()]
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)
+        assert rows == [m.entries for m in census.elements]
+
+
+def test_census_membership_by_binary_search():
+    census = enumerate_semigroup(Z6, 2, 4, "left")
+    assert census.elements[3] in census
+    assert scalar_mat(Z6, 4, 2) in census
+    assert identity(Z6, 2) not in census
+    assert identity(Z6, 3) not in census
+
+
 def test_membership_consistent_with_classifier():
     for k in (0, 1, 3, 4, 2):
         census = enumerate_semigroup(Z6, 2, k, "left")
@@ -159,8 +180,10 @@ def test_closure_compares_every_entry_of_wide_matrices():
     # over Z256 at n = 3 a matrix is 72 bits wide; D^2 = diag(4,1,1) is
     # missing from {I, D} although it differs from I in the first entry only
     z256 = make_zmod(256)
-    d = Mat.from_text(z256, "2,0,0;0,1,0;0,0,1")
-    census = SemigroupCensus(z256, 3, 1, "left", [identity(z256, 3), d])
+    ident = np.eye(3, dtype=np.uint8)
+    d = ident.copy()
+    d[0, 0] = 2
+    census = SemigroupCensus(z256, 3, 1, "left", np.stack([ident, d]))
     assert verify_closure(census) is False
 
 
@@ -292,6 +315,19 @@ def test_antiorthogonal_search_is_deterministic():
 def test_budget_exceeded_is_a_hard_error():
     with pytest.raises(BudgetExceededError):
         enumerate_semigroup(Z6, 3, 0, "left", budget=50)
+
+
+def test_budget_error_names_the_limit_and_the_nodes_counted():
+    # the candidate sweep over Z6^3 charges its 216 nodes in one step
+    with pytest.raises(BudgetExceededError, match=r"budget of 50 \(216 nodes counted\)"):
+        enumerate_semigroup(Z6, 3, 0, "left", budget=50)
+
+
+def test_oversize_search_fails_before_sweeping():
+    # 256^4 candidate vectors exceed the default budget: the charge comes
+    # before the sweep, so nothing of that size is built or walked
+    with pytest.raises(BudgetExceededError, match="4294967296 nodes counted"):
+        enumerate_semigroup(make_zmod(256), 4, 0, "left")
 
 
 def test_budget_env_override(monkeypatch):
