@@ -45,6 +45,7 @@ from .search import (
     antiorthogonal_exists,
     census_table,
     circulant_characterization_check,
+    count_semigroup,
     disjoint_or_equal_check,
     enumerate_naive,
     enumerate_semigroup,

@@ -26,12 +26,10 @@ def chunks(total, width):
 def all_tuples(order, length):
     """All vectors in R^length as an (order**length, length) index array,
     in lexicographic order (first coordinate most significant)."""
-    count = order ** length
-    out = np.empty((count, length), dtype=np.uint8)
-    x = np.arange(count, dtype=np.int64)
-    for j in range(length - 1, -1, -1):
-        out[:, j] = x % order
-        x //= order
+    out = np.empty((order ** length, length), dtype=np.uint8)
+    for j in range(length):   # coordinate j runs through R in blocks of order**(length-1-j)
+        view = out.reshape(order ** j, order, order ** (length - 1 - j), length)
+        view[..., j] = np.arange(order, dtype=np.uint8)[:, None]
     return out
 
 

@@ -24,7 +24,7 @@ from .errors import KorthosError
 from .matrices import Mat
 from .rings import parse_ring
 from .search import (
-    antiorthogonal_exists,
+    _antiorthogonal_search,
     census_table,
     enumerate_semigroup,
     normalize_side,
@@ -352,13 +352,13 @@ def _cmd_code(args):
 def _cmd_antiortho(args):
     t0 = time.perf_counter()
     ring = parse_ring(args.ring)
-    witness = antiorthogonal_exists(ring, args.n)
+    witness, nodes = _antiorthogonal_search(ring, args.n)
     result = {
         "n": args.n,
         "found": witness is not None,
         "witness": witness.render_entries() if witness else None,
     }
-    rep = _report("antiortho", ring.literal, {"n": args.n}, result, t0)
+    rep = _report("antiortho", ring.literal, {"n": args.n}, result, t0, nodes)
     lines = ([f"antiorthogonal {args.n}x{args.n} witness over {ring.literal}: "
               + witness.to_text()]
              if witness else

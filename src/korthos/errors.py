@@ -26,7 +26,12 @@ class SizeCapError(KorthosError, ValueError):
 
 
 class BudgetExceededError(KorthosError, RuntimeError):
-    """A search exceeded its node budget; no partial result is returned."""
+    """A search exceeded its node budget; `profile` maps each stage of a
+    pruned search to the nodes it counted.  No partial result is returned."""
+
+    def __init__(self, message, profile=()):
+        super().__init__(message)
+        self.profile = dict(profile)
 
 
 class NotSplittableError(KorthosError, ValueError):

@@ -237,14 +237,10 @@ class Ring:
     def units(self):
         """The set of invertible elements."""
         if self._units_cache is None:
-            inv = {}
-            for a in self.elements():
-                for b in self.elements():
-                    if self.mul(a, b) == self.one:
-                        inv[a] = b
-                        break
-            self._units_cache = frozenset(inv)
-            self._inv_cache = inv
+            is_one = self.mul_np == self.one
+            units = np.flatnonzero(is_one.any(axis=1)).tolist()
+            self._inv_cache = dict(zip(units, is_one.argmax(axis=1)[units].tolist()))
+            self._units_cache = frozenset(units)
         return self._units_cache
 
     def is_unit(self, a):

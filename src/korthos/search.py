@@ -4,19 +4,19 @@ The left census LO_n(k,R) = {A : A^T A = k I} is searched column by column:
 a column is admissible only if its self inner product is k, and a partial
 assignment is extended only by columns orthogonal to every settled column.
 The right census runs the identical search on rows; the two-sided census
-filters the left census by the row condition.
+keeps the left elements whose row Gram sum_j c_j c_j^T is kI.
 
-A census is one (count, n, n) uint8 array of entry indices in canonical
-order: the backtracking yields index tuples of candidates, `cands[choices]`
-builds every matrix at once, and one sort by row keys orders them.  Every
-Gram test (candidates, pairs, the two-sided filter, the O counts) is the
-numpy kernel `_batch.gram_is_scalar` or, for pairs, its inner products.
+The search walks the orthogonality graph of the candidates depth first in
+blocks of nodes held as boolean numpy rows (`_walk`); no block allocates
+more than `_batch.CHUNK` entries.  `enumerate_semigroup` only counts the
+leaves; a census lists its elements on first use of `census.array`, one
+(count, n, n) uint8 array of entry indices in canonical order.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes; exceeding it raises and
-returns nothing partial.  The candidate and pair sweeps charge their nodes
-before they allocate, so an oversize search fails at once, and the error
-names the budget and the nodes counted.  `enumerate_naive` is the
+returns nothing partial.  Every stage charges its nodes before it allocates,
+so an oversize search fails at once, and the error names the budget, the
+nodes counted and the nodes per stage.  `enumerate_naive` is the
 independent brute-force oracle: it tests every one of the |R|^(n*n)
 matrices directly against the defining equation.
 """
@@ -36,7 +36,7 @@ from .errors import (
     InvariantViolationError,
     NotApplicableError,
 )
-from .matrices import Mat, identity, scalar_mat
+from .matrices import Mat, identity
 from .rings import Ring, VExtensionRing
 
 DEFAULT_BUDGET = 10 ** 8
@@ -69,19 +69,20 @@ def resolve_budget(budget=None):
 
 
 class _NodeCounter:
-    __slots__ = ("spent", "limit")
+    __slots__ = ("spent", "limit", "profile")
 
-    def __init__(self, limit):
+    def __init__(self, limit, n):
         self.spent = 0
         self.limit = limit
+        self.profile = {"candidates": 0, "pairs": 0, **{f"depth {d + 1}": 0 for d in range(n)}}
 
-    def spend(self, n=1):
-        self.spent += n
+    def spend(self, nodes, stage):
+        self.spent += nodes
+        self.profile[stage] += nodes
         if self.spent > self.limit:
-            raise BudgetExceededError(
-                f"search exceeded the node budget of {self.limit} "
-                f"({self.spent} nodes counted)"
-            )
+            reached = ", ".join(f"{s} {c}" for s, c in self.profile.items())
+            raise BudgetExceededError(f"search exceeded the node budget of {self.limit} "
+                                      f"({self.spent} nodes counted): {reached}", self.profile)
 
 
 def _mats(ring, n, arr):
@@ -94,23 +95,43 @@ class SemigroupCensus:
     """The full element set of LO/RO/O_n(k, R) plus verification metadata.
 
     `array` holds the elements as one (count, n, n) uint8 array of entry
-    indices in canonical order (lexicographic by row-major entries);
-    `elements` lists them as `Mat` views, built on first use.  `checks`
-    values are True/False once the corresponding verification has run and
-    None while it has not.
+    indices in canonical order (lexicographic by row-major entries), listed
+    on first use; `elements` lists them as `Mat` views.  `checks` values are
+    True/False once the corresponding verification has run, else None.
     """
 
     ring: Ring
     n: int
     k: int
     side: str
-    array: np.ndarray
+    _array: np.ndarray = None
     checks: dict = field(default_factory=dict)
     nodes: int = 0
+    count: int = None
+    profile: dict = field(default_factory=dict)
 
-    @property
-    def count(self):
-        return len(self.array)
+    def __post_init__(self):
+        if self.count is None:
+            self.count = len(self._array)
+
+    @cached_property
+    def array(self):
+        if self._array is not None:
+            return self._array
+        # the listing walk must agree with the count and the nodes (its budget)
+        n = self.n
+        counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
+                                         self.side == "two_sided")
+        parts = [np.zeros((0, n), np.min_scalar_type(len(cands)))]
+        for paths, leaves in blocks:
+            f, j = np.nonzero(leaves)
+            parts.append(np.column_stack([paths[f], j]).astype(parts[0].dtype))
+        arr = cands[np.concatenate(parts)]           # chosen vectors as rows
+        if (len(arr), counter.spent) != (self.count, self.nodes):
+            raise InvariantViolationError("search bug: the listing and counting walks differ")
+        if self.side != "right":
+            arr = arr.swapaxes(1, 2)                 # chosen vectors as columns
+        return arr[np.argsort(_batch.row_keys(arr.reshape(-1, n * n)), kind="stable")]
 
     @cached_property
     def elements(self):
@@ -135,85 +156,98 @@ class SemigroupCensus:
 
 
 # ---------------------------------------------------------------------------
-# pruned backtracking search
+# pruned search: a blocked, depth-first frontier over the orthogonality graph
 
 def _column_candidates(ring, n, k, counter):
     """All vectors c in R^n with <c, c> = k, as an (m, n) index array."""
-    counter.spend(ring.order ** n)
+    counter.spend(ring.order ** n, "candidates")
     vecs = _batch.all_tuples(ring.order, n)
     return vecs[_batch.gram_is_scalar(ring, vecs[:, None, :], k)]
 
 
-def _orth_sets(ring, cands, k, counter):
-    """orth[i] = indices j with <cands[i], cands[j]> = 0 (symmetric).
-
-    Every candidate has <c, c> = k, so the Gram matrix of a pair is kI
-    exactly when the pair is orthogonal; for i = j that means k = 0.  One
-    node per unordered pair, as in a pair-by-pair sweep.
-    """
-    m, width = cands.shape
-    counter.spend(m * (m + 1) // 2)
-    orth = []
-    for part in _batch.chunks(m, m * width):
-        zero = _batch.batch_dot(ring, cands[part, None, :], cands[None, :, :]) == ring.zero
-        orth.extend(set(np.flatnonzero(row).tolist()) for row in zero)
-    return orth
-
-
-def _backtrack(cands, orth, n, counter):
-    """Yield index tuples (j_1 .. j_n) of pairwise-orthogonal candidates."""
-    chosen = []
-
-    def rec(allowed):
-        depth = len(chosen)
-        for j in allowed:
-            counter.spend()
-            chosen.append(j)
-            if depth + 1 == n:
-                yield tuple(chosen)
-            else:
-                nxt = [t for t in allowed if t in orth[j]]
-                yield from rec(nxt)
-            chosen.pop()
-
-    yield from rec(range(len(cands)))
-
-
-def enumerate_semigroup(ring, n, k, side="left", budget=None):
-    """Enumerate LO_n(k,R) / RO_n(k,R) / O_n(k,R) exactly.
-
-    Elements are returned in canonical order (lexicographic by row-major
-    entry indices).
-    """
+def _search(ring, n, k, limit, two_sided=False):
+    """Validate, sweep the candidates and their pairs, and return (counter,
+    cands, the `_walk` generator).  adj[i, j] is True when the pair is
+    orthogonal, i.e. has Gram matrix kI; one node per unordered pair."""
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
     ring.check_element(k)
-    side = normalize_side(side)
-    counter = _NodeCounter(resolve_budget(budget))
-
+    counter = _NodeCounter(limit, n)
     cands = _column_candidates(ring, n, k, counter)
-    orth = _orth_sets(ring, cands, k, counter)
-    choices = np.fromiter(_backtrack(cands, orth, n, counter),
-                          dtype=np.dtype((np.intp, n)))
-    arr = cands[choices]                     # chosen vectors as rows
-    if side != "right":
-        arr = arr.swapaxes(1, 2)             # chosen vectors as columns
-    if side == "two_sided":
-        arr = arr[_batch.gram_is_scalar(ring, arr, k)]
-    arr = arr[np.argsort(_batch.row_keys(arr.reshape(-1, n * n)), kind="stable")]
+    m = len(cands)
+    counter.spend(m * (m + 1) // 2, "pairs")
+    adj = np.empty((m, m), dtype=bool)
+    for part in _batch.chunks(m, m * n):
+        adj[part] = _batch.batch_dot(ring, cands[part, None, :], cands[None, :, :]) == ring.zero
+    return counter, cands, _walk(ring, cands, adj, n, k, counter, two_sided)
 
-    census = SemigroupCensus(
-        ring=ring, n=n, k=k, side=side, array=arr,
-        checks={"closure_verified": None, "identity_present": None, "is_group": None},
-        nodes=counter.spent,
-    )
-    census.checks["identity_present"] = identity(ring, n) in census
-    if ring.mul(k, k) == k and scalar_mat(ring, k, n) not in census:
-        # for idempotent k the scalar matrix kI must have been found
+
+def _walk(ring, cands, adj, n, k, counter, two_sided):
+    """Walk the search tree depth first, in blocks of b nodes of depth d:
+    `paths` (b, d) the candidates chosen, `allowed` (b, m) the candidates
+    orthogonal to all of them (a child by j has `allowed[p] & adj[j]`) and
+    `gram` (b, n, n) the row Gram partial sum.  A popped block charges its
+    children, then pushes them in pieces of `rows` nodes built only when
+    popped.  Yields (paths, leaves) per block of depth n - 1, in row-major
+    order, `leaves` (b, m) marking the children that are elements; for
+    idempotent k it checks that kI is one."""
+    m = len(cands)
+    rows = max(1, _batch.CHUNK // (m + n * n))
+    target = np.diag(np.full(n, k, dtype=np.uint8))
+    hit = (cands[None, :, :] == target[:, None, :]).all(axis=-1)
+    probe = hit.argmax(axis=1) if hit.any(axis=1).all() else None   # kI's columns
+    if two_sided:
+        outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
+        keys = _batch.row_keys(outer.reshape(m, n * n))
+        classes = np.sort(keys)
+        cls = np.searchsorted(classes, keys)
+    block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), np.zeros((1, n, n), np.uint8))
+    stack, seen = [], False
+    while True:
+        paths, allowed, gram = block
+        nodes = int(np.count_nonzero(allowed))
+        counter.spend(nodes, f"depth {paths.shape[1] + 1}")
+        if paths.shape[1] < n - 1:
+            flat = np.flatnonzero(allowed)
+            stack.extend((block, flat[i:i + rows]) for i in reversed(range(0, nodes, rows)))
+        else:
+            leaves = allowed   # the children; by j, two-sided when c_j c_j^T = kI - gram
+            if two_sided and m:
+                need = _batch.row_keys(ring.add_np[target, ring.neg_np[gram]].reshape(-1, n * n))
+                pos = np.minimum(np.searchsorted(classes, need), m - 1)
+                leaves = allowed & (cls == np.where(classes[pos] == need, pos, -1)[:, None])
+            if probe is not None:
+                seen = seen or bool(leaves[(paths == probe[:-1]).all(axis=1), probe[-1]].any())
+            yield paths, leaves
+        if not stack:
+            break
+        (paths, allowed, gram), piece = stack.pop()
+        f, j = np.divmod(piece, m)
+        block = (np.column_stack([paths[f], j]), allowed[f] & adj[j],
+                 ring.add_np[gram[f], outer[j]] if two_sided else gram)
+    if ring.mul(k, k) == k and not seen:
         raise InvariantViolationError(
             f"search bug: scalar matrix missing from census over {ring.literal}"
         )
-    return census
+
+
+def enumerate_semigroup(ring, n, k, side="left", budget=None):
+    """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: a count-only walk
+    gives the count and the nodes, and `census.array` lists the elements on
+    first use, in canonical order (lexicographic by row-major entries)."""
+    side = normalize_side(side)
+    counter, _, blocks = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
+    count = sum(int(np.count_nonzero(leaves)) for _, leaves in blocks)
+    # the walk checks that kI is an element; I is kI for k = 1, else no element
+    checks = {"closure_verified": None, "identity_present": k == ring.one, "is_group": None}
+    return SemigroupCensus(ring, n, k, side, checks=checks, nodes=counter.spent,
+                           count=count, profile=counter.profile)
+
+
+def count_semigroup(ring, n, k, side="left", budget=None):
+    """(count, nodes) of LO_n(k,R) / RO_n(k,R) / O_n(k,R), building no matrix."""
+    census = enumerate_semigroup(ring, n, k, side, budget)
+    return census.count, census.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +410,19 @@ def census_table(ring, n, budget=None):
     """One row per idempotent k: {'k', 'lo', 'o', 'diff', 'nodes'}, matching
     the census tables (|LO| = |RO|, |O|, and their difference).
 
-    O = LO ∩ RO, so |O| counts the left elements whose rows also have Gram
-    matrix kI: one search per idempotent, whose nodes the row reports.
+    O = LO ∩ RO is the left search filtered by the row condition, so one
+    count-only walk per idempotent gives both: its leaves are LO.
     """
     rows = []
     for k in ring.idempotents():
-        lo = enumerate_semigroup(ring, n, k, "left", budget=budget)
-        o = int(_batch.gram_is_scalar(ring, lo.array, k).sum())
+        o = enumerate_semigroup(ring, n, k, "two_sided", budget=budget)
+        lo = o.profile[f"depth {n}"]
         rows.append({
             "k": ring.render(k),
-            "lo": lo.count,
-            "o": o,
-            "diff": lo.count - o,
-            "nodes": lo.nodes,
+            "lo": lo,
+            "o": o.count,
+            "diff": lo - o.count,
+            "nodes": o.nodes,
         })
     return rows
 
@@ -399,18 +433,22 @@ def antiorthogonal_exists(ring, n, budget=None):
     The pruned search is exhaustive, so a None answer is a proof of
     non-existence at this degree.
     """
-    if n < 1:
-        raise InvalidParameterError("degree n must be >= 1")
+    return _antiorthogonal_search(ring, n, budget)[0]
+
+
+def _antiorthogonal_search(ring, n, budget=None):
+    """(witness or None, nodes): the walk stops at its first leaf."""
     k = ring.neg(ring.one)
-    counter = _NodeCounter(resolve_budget(budget))
-    cands = _column_candidates(ring, n, k, counter)
-    orth = _orth_sets(ring, cands, k, counter)
-    choice = next(_backtrack(cands, orth, n, counter), None)
-    if choice is None:
-        return None
-    a = cands[list(choice)].T                # chosen vectors are the columns
+    counter, cands, blocks = _search(ring, n, k, resolve_budget(budget))
+    for paths, leaves in blocks:
+        if leaves.any():
+            f, j = divmod(int(leaves.argmax()), len(cands))
+            break
+    else:
+        return None, counter.spent
+    a = cands[[*paths[f], j]].T              # chosen vectors are the columns
     if not _batch.gram_is_scalar(ring, a, k):
         # a (-1)-orthogonal matrix is invertible, so one-sidedness
         # cannot happen; treat it as a search bug
         raise InvariantViolationError("left antiorthogonal witness was not right antiorthogonal")
-    return _mats(ring, n, a)[0]
+    return _mats(ring, n, a)[0], counter.spent

@@ -316,7 +316,8 @@ def test_payloads_are_deterministic(capsys):
     ("verify", "--table", str(TABLES / "z6-n2-counts.json")),
     ("verify", "--table", str(TABLES / "r2-n2-v-semigroups.json")),
     ("crt", "--ring", "Z6", "--n", "2", "--k", "4", "--verify"),
-], ids=["tables", "verify-counts", "verify-matrices", "crt-verify"])
+    ("antiortho", "--ring", "Z6", "--n", "3"),
+], ids=["tables", "verify-counts", "verify-matrices", "crt-verify", "antiortho"])
 def test_search_commands_report_nodes(capsys, argv):
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0

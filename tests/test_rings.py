@@ -168,6 +168,22 @@ def test_units_and_inverses_exhaustively():
                     ring.inverse(a)
 
 
+def test_units_match_the_scalar_definition():
+    # the inverse of a is the first b with a*b = 1, as an element-by-element
+    # sweep finds it
+    for ring in ring_family() + [make_zmod(256)]:
+        inv = {}
+        for a in ring.elements():
+            for b in ring.elements():
+                if ring.mul(a, b) == ring.one:
+                    inv[a] = b
+                    break
+        assert ring.units() == frozenset(inv)
+        assert {a: ring.inverse(a) for a in inv} == inv
+        assert all(type(a) is int and type(ring.inverse(a)) is int for a in inv)
+        assert [ring.is_unit(a) for a in ring.elements()] == [a in inv for a in ring.elements()]
+
+
 def test_unit_count_formula_for_v_extensions():
     f5 = make_galois_field(5, 1)
     assert len(make_v_extension(f5, "1").units()) == (5 - 1) ** 2

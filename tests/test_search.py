@@ -1,15 +1,25 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korthos import (
     BudgetExceededError,
     InvalidParameterError,
+    InvariantViolationError,
     Mat,
     NotApplicableError,
     antiorthogonal_exists,
     census_table,
     circulant_characterization_check,
     classify_k_orthogonal,
+    count_semigroup,
     disjoint_or_equal_check,
     enumerate_naive,
     enumerate_semigroup,
@@ -23,7 +33,8 @@ from korthos import (
     verify_closure,
     verify_group,
 )
-from korthos.search import SemigroupCensus, resolve_budget
+from korthos import _batch, search
+from korthos.search import SIDES, SemigroupCensus, resolve_budget
 
 from helpers import ring_family
 
@@ -346,3 +357,149 @@ def test_invalid_budget_is_a_parameter_error(monkeypatch, value):
     monkeypatch.delenv("KORTHOS_BUDGET")
     with pytest.raises(InvalidParameterError):
         enumerate_semigroup(Z6, 2, 1, "left", budget=value)
+
+
+# ---------------------------------------------------------------------------
+# the blocked frontier: count-only and listing walks
+
+WALK_CASES = ([(ring, n) for ring in ring_family() for n in (1, 2)]
+              + [(Z6, 3), (R2, 3), (make_zmod(4), 3)])
+
+
+def _crt_z6_count(n, k, side):
+    """|X_n(k, Z6)| as the product of the naive Z2 and Z3 counts (CRT)."""
+    return (len(enumerate_naive(F2, n, k % 2, side))
+            * len(enumerate_naive(make_zmod(3), n, k % 3, side)))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_list_and_naive_agree(data):
+    ring, n = data.draw(st.sampled_from(WALK_CASES), label="case")
+    k = data.draw(st.sampled_from(list(ring.elements())), label="k")
+    side = data.draw(st.sampled_from(SIDES), label="side")
+    count, nodes = count_semigroup(ring, n, k, side)
+    census = enumerate_semigroup(ring, n, k, side)
+    assert (census.count, census.nodes) == (count, nodes)
+    # listing runs a second walk, which raises unless it visits the same
+    # number of nodes and finds the same number of elements
+    assert len(census.array) == count
+    if ring.order ** (n * n) <= search.NAIVE_CAP:
+        assert np.array_equal(census.array, search._naive_array(ring, n, k, side))
+    else:
+        assert count == _crt_z6_count(n, k, side)
+
+
+def test_listing_walk_must_match_the_count():
+    census = enumerate_semigroup(Z6, 3, 0, "left")
+    census.nodes += 1
+    with pytest.raises(InvariantViolationError, match="walks differ"):
+        census.array
+
+
+def test_large_counts_factor_over_the_residue_fields():
+    # |LO_4(0, Z6)| = |LO_4(0, F2)| * |LO_4(0, F3)| = 736 * 51,201
+    f3 = count_semigroup(make_zmod(3), 4, 0)[0]
+    assert f3 == 51201
+    assert count_semigroup(Z6, 4, 0)[0] == len(enumerate_naive(F2, 4, 0)) * f3 == 37683936
+
+
+def _walk_results():
+    out = []
+    for ring, n in [(Z6, 3), (R2, 3), (make_zmod(4), 3), (make_zmod(12), 2)]:
+        for k in ring.idempotents():
+            for side in SIDES:
+                c = enumerate_semigroup(ring, n, k, side)
+                out.append((ring.literal, n, k, side, c.count, c.nodes, c.array.tobytes()))
+    c = enumerate_semigroup(make_galois_field(3), 4, 1, "two_sided")
+    out.append((c.count, c.nodes, c.array.tobytes()))
+    out.append(census_table(R2, 3))
+    for ring, n in [(Z6, 2), (Z6, 3), (make_zmod(4), 4), (make_zmod(5), 2), (R2, 2)]:
+        w = antiorthogonal_exists(ring, n)
+        out.append(w.entries if w is not None else None)
+    return out
+
+
+def test_small_blocks_give_identical_results(monkeypatch):
+    expected = _walk_results()
+    shapes = []
+    real_walk = search._walk
+
+    def recording_walk(ring, cands, adj, n, k, counter, two_sided):
+        for paths, leaves in real_walk(ring, cands, adj, n, k, counter, two_sided):
+            shapes.append((len(paths), len(cands) + n * n))
+            yield paths, leaves
+
+    monkeypatch.setattr(_batch, "CHUNK", 64)
+    monkeypatch.setattr(search, "_walk", recording_walk)
+    assert _walk_results() == expected
+    # a block holds one row per node, and at most CHUNK entries unless a
+    # single row is wider
+    assert max(rows for rows, _ in shapes) > 1
+    assert all(rows * width <= max(64, width) for rows, width in shapes)
+
+
+@pytest.mark.parametrize("ring,n,k", [(Z6, 3, 4), (Z6, 1, 3), (R2, 2, V), (F2, 3, 0)],
+                         ids=lambda x: getattr(x, "literal", str(x)))
+@pytest.mark.parametrize("side", SIDES)
+def test_missing_scalar_column_is_an_invariant_violation(monkeypatch, ring, n, k, side):
+    census = enumerate_semigroup(ring, n, k, side)
+    real = search._column_candidates
+
+    def without_k_en(ring, n, k, counter):
+        cands = real(ring, n, k, counter)
+        return cands[(cands[:, :-1] != 0).any(axis=1) | (cands[:, -1] != k)]
+
+    monkeypatch.setattr(search, "_column_candidates", without_k_en)
+    with pytest.raises(InvariantViolationError, match="scalar matrix missing"):
+        enumerate_semigroup(ring, n, k, side)           # counting
+    with pytest.raises(InvariantViolationError, match="scalar matrix missing"):
+        census.array                                      # listing
+
+
+def test_antiortho_search_reports_its_nodes():
+    # no witness over Z6 at n = 3, so the search walks the whole tree
+    assert search._antiorthogonal_search(Z6, 3) == (None, count_semigroup(Z6, 3, 5)[1])
+    witness, nodes = search._antiorthogonal_search(Z6, 2)
+    assert witness == antiorthogonal_exists(Z6, 2)
+    assert 0 < nodes <= count_semigroup(Z6, 2, 5)[1]
+
+
+def test_budget_error_carries_the_profile_per_stage():
+    total = count_semigroup(Z6, 3, 0)[1]
+    assert count_semigroup(Z6, 3, 0, budget=total)[1] == total
+    with pytest.raises(BudgetExceededError) as err:
+        count_semigroup(Z6, 3, 0, budget=total - 1)
+    profile = err.value.profile
+    assert list(profile) == ["candidates", "pairs", "depth 1", "depth 2", "depth 3"]
+    assert profile["candidates"] == 216 and profile["depth 3"] > 0
+    assert sum(profile.values()) == total
+    assert str(err.value).endswith(
+        "nodes counted): " + ", ".join(f"{s} {c}" for s, c in profile.items()))
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_semigroup(Z6, 3, 0, "left", budget=50)
+    assert err.value.profile == {"candidates": 216, "pairs": 0, "depth 1": 0,
+                                 "depth 2": 0, "depth 3": 0}
+
+
+def test_oversize_walk_fails_with_bounded_memory():
+    # Z256 at n = 3 has 4,096 candidates and ~10^8 nodes; the walk must hit
+    # the budget without buffering what it has walked
+    code = (
+        "import json, resource\n"
+        "from korthos import BudgetExceededError, enumerate_semigroup, make_zmod\n"
+        "try:\n"
+        "    enumerate_semigroup(make_zmod(256), 3, 0)\n"
+        "    raised = False\n"
+        "except BudgetExceededError:\n"
+        "    raised = True\n"
+        "print(json.dumps([raised, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
+    )
+    env = {key: val for key, val in os.environ.items() if key != "KORTHOS_BUDGET"}
+    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    raised, maxrss_kb = json.loads(proc.stdout)
+    assert raised
+    assert maxrss_kb < 1024 * 1024
