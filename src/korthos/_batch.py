@@ -76,3 +76,14 @@ def row_keys(flat):
     length; keys sort like the rows read as tuples."""
     flat = np.ascontiguousarray(flat)
     return flat.view(np.dtype((np.void, flat.shape[-1])))[..., 0]
+
+
+def lookup(table, keys):
+    """Position of each key in the sorted array `table`, or -1 where the key
+    is absent; keys of any shape, scalars included."""
+    if len(table) == 0:
+        return np.full(np.shape(keys), -1, dtype=np.intp)
+    pos = np.asarray(np.searchsorted(table, keys))
+    np.minimum(pos, len(table) - 1, out=pos)
+    pos[table[pos] != keys] = -1
+    return pos

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .rings import (
     make_zmod,
 )
 from .search import _naive_array, enumerate_semigroup, normalize_side
-
-VERIFY_SPLIT_CAP = 64
 
 
 def _prime_power_factors(n):
@@ -86,31 +85,31 @@ class CrtSplit:
                 f"{self.source.literal} does not split into fields (non-field factor(s): {bad})"
             )
 
+    @cached_property
+    def forward_np(self):
+        """The forward map as an (order, factors) index array: row e holds
+        the factor images of e."""
+        images = [self.forward(e) for e in self.source.elements()]
+        return np.array(images, dtype=np.uint8).reshape(self.source.order, len(self.factors))
+
     def verify(self):
-        """Exhaustive round-trip and homomorphism check (desk scale)."""
-        R = self.source
-        if R.order > VERIFY_SPLIT_CAP:
-            return
-        for e in R.elements():
-            if self.backward(self.forward(e)) != e:
-                raise InvariantViolationError("CRT round trip fails")
-        seen = {self.forward(e) for e in R.elements()}
-        if len(seen) != R.order:
+        """Exhaustive round-trip and homomorphism check: the ring tables are
+        compared with the factor tables through `forward_np`."""
+        R, fwd = self.source, self.forward_np
+        if [self.backward(parts) for parts in fwd.tolist()] != list(R.elements()):
+            raise InvariantViolationError("CRT round trip fails")
+        if len(np.unique(_batch.row_keys(fwd))) != R.order:
             raise InvariantViolationError("CRT forward map is not injective")
-        if self.forward(R.zero) != tuple(f.zero for f in self.factors):
+        if fwd[R.zero].tolist() != [f.zero for f in self.factors]:
             raise InvariantViolationError("CRT map does not preserve 0")
-        if self.forward(R.one) != tuple(f.one for f in self.factors):
+        if fwd[R.one].tolist() != [f.one for f in self.factors]:
             raise InvariantViolationError("CRT map does not preserve 1")
-        for a in R.elements():
-            fa = self.forward(a)
-            for b in R.elements():
-                fb = self.forward(b)
-                if self.forward(R.add(a, b)) != tuple(
-                        f.add(x, y) for f, x, y in zip(self.factors, fa, fb)):
-                    raise InvariantViolationError("CRT map does not preserve +")
-                if self.forward(R.mul(a, b)) != tuple(
-                        f.mul(x, y) for f, x, y in zip(self.factors, fa, fb)):
-                    raise InvariantViolationError("CRT map does not preserve *")
+        for table, name in (("add_np", "+"), ("mul_np", "*")):
+            for j, f in enumerate(self.factors):
+                x = fwd[:, j]
+                if not np.array_equal(fwd[getattr(R, table), j],
+                                      getattr(f, table)[x[:, None], x[None, :]]):
+                    raise InvariantViolationError(f"CRT map does not preserve {name}")
 
 
 def split(ring):
@@ -227,11 +226,11 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     factor_counts = [len(arr) for arr in factor_arrays]
     product = math.prod(factor_counts)
 
-    # images[e, :, j] is the j-th factor image of the e-th direct element
-    forward = np.array([crt_split.forward(e) for e in ring.elements()], dtype=np.uint8)
-    images = forward[direct.array.reshape(-1, n * n)]
+    # images[e, :, j] is the j-th factor image of the e-th direct element;
+    # the factor arrays are in canonical order, so their keys are sorted
+    images = crt_split.forward_np[direct.array.reshape(-1, n * n)]
     bijection_ok = direct.count == product and all(
-        np.isin(_batch.row_keys(images[:, :, j]), _batch.row_keys(arr)).all()
+        (_batch.lookup(_batch.row_keys(arr), _batch.row_keys(images[:, :, j])) >= 0).all()
         for j, arr in enumerate(factor_arrays))
     if bijection_ok:
         # distinct elements must have distinct image tuples

@@ -19,6 +19,12 @@ so an oversize search fails at once, and the error names the budget, the
 nodes counted and the nodes per stage.  `enumerate_naive` is the
 independent brute-force oracle: it tests every one of the |R|^(n*n)
 matrices directly against the defining equation.
+
+The checks on a listed census run on index arrays.  `verify_closure` holds
+each element as the tuple of the indices of its columns among the columns
+the census uses, forms A*c once per element A and used column c, and reads
+every product AB off those images, so it never forms the m*m products;
+`verify_group` is one batched Gram test and one lookup of the transposes.
 """
 
 from __future__ import annotations
@@ -150,9 +156,8 @@ class SemigroupCensus:
         if not (isinstance(mat, Mat) and mat.ring == self.ring
                 and mat.rows == mat.cols == self.n):
             return False
-        keys, key = self._keys, _batch.row_keys(np.array(mat.entries, dtype=np.uint8))
-        pos = np.searchsorted(keys, key)
-        return bool(pos < self.count and keys[pos] == key)
+        key = _batch.row_keys(np.array(mat.entries, dtype=np.uint8))
+        return bool(_batch.lookup(self._keys, key) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +205,7 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
         keys = _batch.row_keys(outer.reshape(m, n * n))
         classes = np.sort(keys)
-        cls = np.searchsorted(classes, keys)
+        cls = _batch.lookup(classes, keys)
     block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), np.zeros((1, n, n), np.uint8))
     stack, seen = [], False
     while True:
@@ -212,10 +217,9 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
             stack.extend((block, flat[i:i + rows]) for i in reversed(range(0, nodes, rows)))
         else:
             leaves = allowed   # the children; by j, two-sided when c_j c_j^T = kI - gram
-            if two_sided and m:
+            if two_sided:
                 need = _batch.row_keys(ring.add_np[target, ring.neg_np[gram]].reshape(-1, n * n))
-                pos = np.minimum(np.searchsorted(classes, need), m - 1)
-                leaves = allowed & (cls == np.where(classes[pos] == need, pos, -1)[:, None])
+                leaves = allowed & (cls == _batch.lookup(classes, need)[:, None])
             if probe is not None:
                 seen = seen or bool(leaves[(paths == probe[:-1]).all(axis=1), probe[-1]].any())
             yield paths, leaves
@@ -310,21 +314,50 @@ def _naive_array(ring, n, k, side="left", cap=NAIVE_CAP):
 # verification operations
 
 def verify_closure(census):
-    """Check that the census is closed under matrix multiplication.
+    """Check that the census is closed under matrix multiplication: every
+    product AB of two elements is an element.
 
     Guaranteed to hold when k is idempotent; for other k this simply reports
     whatever is true.  Updates ``census.checks['closure_verified']``.
+
+    The check runs on column indices (row indices for a right census, which
+    is closed exactly when its transposes are).  Each element is the n-tuple
+    of the indices of its columns among the m_c distinct columns the census
+    uses, and column j of AB is A times column j of B.  So A*c is formed once
+    for every element A and used column c, and mapped to its index (-1 when
+    the census never uses it); every product is then a gather of n indices,
+    looked up as one exact mixed-radix code among the elements' codes.  The
+    m*m_c images and m*m lookups are charged to the node budget first.
     """
-    arr, keys, m, n = census.array, census._keys, census.count, census.n
-    ok = True
-    for part in _batch.chunks(m, m * n * n * n):
-        prod = _batch.batch_matmul(census.ring, arr[part, None], arr[None, :])
-        pk = _batch.row_keys(prod.reshape(-1, n * n))
-        pos = np.searchsorted(keys, pk)
-        pos[pos == m] = 0
-        if not (keys[pos] == pk).all():
-            ok = False
+    ring, n, m = census.ring, census.n, census.count
+    mats = census.array if census.side != "right" else census.array.swapaxes(1, 2)
+    cols, code = np.unique(_batch.row_keys(mats.swapaxes(1, 2).reshape(-1, n)),
+                           return_inverse=True)
+    code = code.reshape(m, n)
+    mc = len(cols)
+    if mc ** n >= 2 ** 63:
+        raise InvalidParameterError(
+            f"closure codes of {n} indices among {mc} columns do not fit in 64 bits")
+    limit = resolve_budget()
+    if m * mc + m * m > limit:
+        raise BudgetExceededError(
+            f"closure of {m} elements over {mc} columns needs {m * mc} images and "
+            f"{m * m} product lookups, over the node budget of {limit}")
+    vecs = cols.view(np.uint8).reshape(mc, n).T          # used columns, side by side
+    image = np.empty((m, mc), dtype=np.int32)            # index of A*c, or -1
+    for part in _batch.chunks(m, mc * n * n):
+        prod = _batch.batch_matmul(ring, mats[part], vecs)
+        image[part] = _batch.lookup(cols, _batch.row_keys(prod.swapaxes(1, 2)))
+    elems = np.sort(code @ (mc ** np.arange(n - 1, -1, -1, dtype=np.int64)))
+    ok = bool((image >= 0).all())
+    for part in _batch.chunks(m, 8 * m):                  # int64 blocks of CHUNK bytes
+        if not ok:
             break
+        prods = np.zeros((len(image[part]), m), dtype=np.int64)
+        for j in range(n):                                # column j of AB is image[A, code[B, j]]
+            prods *= mc
+            prods += image[part][:, code[:, j]]
+        ok = bool((_batch.lookup(elems, prods) >= 0).all())
     census.checks["closure_verified"] = ok
     return ok
 
@@ -332,32 +365,24 @@ def verify_closure(census):
 def verify_group(census):
     """Check identity membership and two-sided inverses inside the census.
 
-    Assumes the census is complete and closure has been verified.  Returns
-    {'is_group': bool, 'identity': Mat | None, 'inverse_witnesses': dict}.
+    The identity lies in a census only when k = 1, and then every element
+    satisfies A^T A = I, so A^T is its unique two-sided inverse.  The check
+    is therefore one batched test that A A^T = I for every element and one
+    lookup of every transpose in the census.  Returns {'is_group': bool,
+    'identity': Mat | None, 'inverse_witnesses': dict mapping A to A^T}.
     """
-    ring, n = census.ring, census.n
+    ring, n, arr = census.ring, census.n, census.array
     ident = identity(ring, n)
-    have = census.element_set()
-    if ident not in have:
+    if ident not in census:
         census.checks["is_group"] = False
         return {"is_group": False, "identity": None, "inverse_witnesses": {}}
-    witnesses = {}
-    ok = True
-    for a in census.elements:
-        b = a.transpose()
-        if b in have and a.mul(b) == ident and b.mul(a) == ident:
-            witnesses[a] = b
-            continue
-        for b in census.elements:
-            if a.mul(b) == ident and b.mul(a) == ident:
-                witnesses[a] = b
-                break
-        else:
-            ok = False
-            break
+    transposes = arr.swapaxes(1, 2)
+    ok = bool(_batch.gram_is_scalar(ring, arr, ring.one).all()
+              and (_batch.lookup(census._keys,
+                                 _batch.row_keys(transposes.reshape(-1, n * n))) >= 0).all())
     census.checks["is_group"] = ok
-    return {"is_group": ok, "identity": ident,
-            "inverse_witnesses": witnesses if ok else {}}
+    witnesses = dict(zip(census.elements, _mats(ring, n, transposes))) if ok else {}
+    return {"is_group": ok, "identity": ident, "inverse_witnesses": witnesses}
 
 
 def transpose_bijection_check(left_census, right_census):
@@ -381,7 +406,7 @@ def disjoint_or_equal_check(ring, n, k, k2, side="left", budget=None):
         return "equal"
     a = enumerate_semigroup(ring, n, k, side, budget=budget)
     b = enumerate_semigroup(ring, n, k2, side, budget=budget)
-    if np.isin(a._keys, b._keys).any():
+    if (_batch.lookup(b._keys, a._keys) >= 0).any():
         raise InvariantViolationError(
             "distinct idempotents produced overlapping censuses"
         )

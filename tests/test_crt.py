@@ -1,6 +1,8 @@
 import pytest
 
 from korthos import (
+    CrtSplit,
+    InvariantViolationError,
     InvalidParameterError,
     Mat,
     NotSplittableError,
@@ -93,6 +95,37 @@ def test_field_split_is_trivial():
 
 # ---------------------------------------------------------------------------
 # matrix maps
+
+def _pair_split(q, fwd, bwd):
+    """A CrtSplit of Z3 x Zq onto Z3 x Zq through the given maps on pairs."""
+    ring = make_product([make_zmod(3), make_zmod(q)])
+    return CrtSplit(ring, list(ring.components_rings), lambda e: fwd(*ring.components(e)),
+                    lambda parts: ring.make(bwd(*parts)))
+
+
+@pytest.mark.parametrize("q,fwd,bwd,message", [
+    # not mutually inverse
+    (3, lambda x, y: (x, y), lambda u, v: (v, u), "round trip"),
+    # a bijection sending 0 to (1, 0)
+    (3, lambda x, y: ((x + 1) % 3, y), lambda u, v: ((u + 2) % 3, v), "preserve 0"),
+    # the additive bijection (x, y) -> (x, x + y) sends 1 to (1, 2)
+    (3, lambda x, y: (x, (x + y) % 3), lambda u, v: (u, (v + 2 * u) % 3), "preserve 1"),
+    # cubing is a multiplicative bijection of Z5, its own inverse, and not additive
+    (5, lambda x, y: (x, y ** 3 % 5), lambda u, v: (u, v ** 3 % 5), "preserve \\+"),
+    # the additive bijection (x, y) -> (x, 2x + 2y) fixes 0 and 1 but not products
+    (3, lambda x, y: (x, (2 * x + 2 * y) % 3), lambda u, v: (u, (2 * v + 2 * u) % 3),
+     "preserve \\*"),
+])
+def test_split_verification_rejects_broken_maps(q, fwd, bwd, message):
+    with pytest.raises(InvariantViolationError, match=message):
+        _pair_split(q, fwd, bwd).verify()
+
+
+def test_forward_table_rows_are_the_images():
+    for ring in (Z6, R2, make_zmod(60), make_v_extension(make_galois_field(3), "1")):
+        s = split(ring)
+        assert s.forward_np.tolist() == [list(s.forward(e)) for e in ring.elements()]
+
 
 def test_map_matrix_entrywise():
     s = split(Z6)

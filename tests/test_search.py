@@ -178,6 +178,43 @@ def test_closure_of_idempotent_censuses():
         assert census.checks["closure_verified"] is True
 
 
+def _closure_by_products(census):
+    """Reference closure: form every product and look it up by row key."""
+    arr, n = census.array, census.n
+    keys = _batch.row_keys(arr.reshape(-1, n * n))
+    for part in _batch.chunks(len(arr), len(arr) * n ** 3):
+        prod = _batch.batch_matmul(census.ring, arr[part, None], arr[None])
+        if not np.isin(_batch.row_keys(prod.reshape(-1, n * n)), keys).all():
+            return False
+    return True
+
+
+CLOSURE_CASES = (
+    [(ring, n, k, side) for ring in ring_family() for n in (1, 2)
+     for k in ring.elements() for side in SIDES]
+    + [(ring, 3, k, side) for ring in (Z6, R2, make_zmod(4))
+       for k in ring.idempotents() for side in SIDES])
+
+
+@pytest.mark.parametrize("ring,n,k,side", CLOSURE_CASES,
+                         ids=lambda x: getattr(x, "literal", str(x)))
+def test_closure_agrees_with_forming_every_product(ring, n, k, side):
+    census = enumerate_semigroup(ring, n, k, side)
+    assert verify_closure(census) is _closure_by_products(census)
+    if ring.mul(k, k) == k:
+        assert census.checks["closure_verified"] is True
+
+
+@pytest.mark.parametrize("ring,k", [(Z6, 2), (make_zmod(8), 5), (make_zmod(5), 4)],
+                         ids=["Z6-2", "Z8-5", "Z5-4"])
+@pytest.mark.parametrize("side", SIDES)
+def test_non_idempotent_censuses_are_not_closed(ring, k, side):
+    census = enumerate_semigroup(ring, 2, k, side)
+    assert census.count > 0
+    assert verify_closure(census) is False
+    assert census.checks["closure_verified"] is False
+
+
 def test_non_idempotent_k_closure_is_reported_not_asserted():
     # products of 2-orthogonal matrices are 4-orthogonal over Z6, so the
     # (nonempty) k=2 census cannot be closed
@@ -185,6 +222,11 @@ def test_non_idempotent_k_closure_is_reported_not_asserted():
     assert census.count > 0
     assert verify_closure(census) is False
     assert scalar_mat(Z6, 2, 2) not in census.element_set()
+
+
+def _hand_built(ring, n, *texts, side="left"):
+    mats = sorted(Mat.from_text(ring, t).entries for t in texts)
+    return SemigroupCensus(ring, n, 1, side, np.array(mats, dtype=np.uint8).reshape(-1, n, n))
 
 
 def test_closure_compares_every_entry_of_wide_matrices():
@@ -198,6 +240,52 @@ def test_closure_compares_every_entry_of_wide_matrices():
     assert verify_closure(census) is False
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_hand_built_sets_that_are_not_closed(side):
+    # a product column the set never uses: D^2 has the column (4, 0)
+    census = _hand_built(Z6, 2, "1,0;0,1", "2,0;0,1", side=side)
+    assert verify_closure(census) is False
+    # every product column is used, but the tuple is absent: X = [e1 e1] and
+    # P = [e2 e1] map e1 and e2 into {e1, e2}, yet P^2 = [e1 e2] = I and
+    # PX = [e2 e2] are not elements
+    census = _hand_built(F2, 2, "1,1;0,0", "0,1;1,0", side=side)
+    assert _closure_by_products(census) is False
+    assert verify_closure(census) is False
+    # all four matrices with columns in {e1, e2} are closed
+    census = _hand_built(F2, 2, "1,1;0,0", "0,1;1,0", "1,0;0,1", "0,0;1,1", side=side)
+    assert _closure_by_products(census) is True
+    assert verify_closure(census) is True
+
+
+def test_empty_census_is_closed():
+    census = enumerate_semigroup(Z6, 1, 2, "left")      # 2 is not a square mod 6
+    assert census.count == 0
+    assert verify_closure(census) is True
+    empty = SemigroupCensus(Z6, 3, 0, "right", np.zeros((0, 3, 3), dtype=np.uint8))
+    assert verify_closure(empty) is True
+
+
+def test_closure_over_the_budget_is_a_hard_error(monkeypatch):
+    census = enumerate_semigroup(Z6, 3, 4, "left")
+    used = len(np.unique(_batch.row_keys(census.array.swapaxes(1, 2).reshape(-1, 3))))
+    charge = census.count * used + census.count ** 2
+    monkeypatch.setenv("KORTHOS_BUDGET", str(charge))
+    assert verify_closure(census) is True
+    monkeypatch.setenv("KORTHOS_BUDGET", str(charge - 1))
+    with pytest.raises(BudgetExceededError,
+                       match=f"closure of {census.count} elements over {used} columns "
+                             f"needs {census.count * used} images and {census.count ** 2} "
+                             f"product lookups, over the node budget of {charge - 1}"):
+        verify_closure(census)
+
+
+def test_closure_codes_must_fit_in_64_bits():
+    # the identity of degree n uses n columns, so its codes need n^n < 2^63
+    assert verify_closure(SemigroupCensus(F2, 15, 1, "left", np.eye(15, dtype=np.uint8)[None]))
+    with pytest.raises(InvalidParameterError, match="16 indices among 16 columns"):
+        verify_closure(SemigroupCensus(F2, 16, 1, "left", np.eye(16, dtype=np.uint8)[None]))
+
+
 def test_group_structure_of_k_one_censuses():
     census = enumerate_semigroup(Z6, 2, 1, "left")
     verify_closure(census)
@@ -206,6 +294,45 @@ def test_group_structure_of_k_one_censuses():
     assert census.count == 16
     assert report["identity"] == identity(Z6, 2)
     assert len(report["inverse_witnesses"]) == 16
+
+
+def _group_by_search(census):
+    """Reference group check: an inverse for every element, trying its
+    transpose first and then every element."""
+    ident = identity(census.ring, census.n)
+    have = census.element_set()
+    if ident not in have:
+        return {"is_group": False, "identity": None, "inverse_witnesses": {}}
+    witnesses = {}
+    for a in census.elements:
+        for b in [a.transpose(), *census.elements]:
+            if b in have and a.mul(b) == ident and b.mul(a) == ident:
+                witnesses[a] = b
+                break
+        else:
+            return {"is_group": False, "identity": ident, "inverse_witnesses": {}}
+    return {"is_group": True, "identity": ident, "inverse_witnesses": witnesses}
+
+
+@pytest.mark.parametrize("ring", [Z6, R2], ids=["Z6", "R2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("side", SIDES)
+def test_group_witnesses_are_the_inverses_found_by_search(ring, n, side):
+    for k in ring.elements():
+        census = enumerate_semigroup(ring, n, k, side)
+        report = verify_group(census)
+        assert report == _group_by_search(census)
+        assert report["is_group"] is (k == ring.one) is census.checks["is_group"]
+        assert all(b == a.transpose() for a, b in report["inverse_witnesses"].items())
+
+
+def test_hand_built_set_without_transposes_is_not_a_group():
+    # I and the invertible D = diag(2, 1) over Z5: D D^T = diag(4, 1) is not I
+    z5 = make_zmod(5)
+    census = _hand_built(z5, 2, "1,0;0,1", "2,0;0,1")
+    report = verify_group(census)
+    assert report == {"is_group": False, "identity": identity(z5, 2), "inverse_witnesses": {}}
+    assert census.checks["is_group"] is False
 
 
 def test_klein_four_profile_of_o2_r2():
