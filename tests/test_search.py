@@ -209,6 +209,8 @@ def test_closure_agrees_with_forming_every_product(ring, n, k, side):
                          ids=["Z6-2", "Z8-5", "Z5-4"])
 @pytest.mark.parametrize("side", SIDES)
 def test_non_idempotent_censuses_are_not_closed(ring, k, side):
+    # products of k-orthogonal matrices are k^2-orthogonal, so a nonempty
+    # census with k^2 != k cannot be closed
     census = enumerate_semigroup(ring, 2, k, side)
     assert census.count > 0
     assert verify_closure(census) is False
@@ -222,6 +224,17 @@ def test_non_idempotent_k_closure_is_reported_not_asserted():
     assert census.count > 0
     assert verify_closure(census) is False
     assert scalar_mat(Z6, 2, 2) not in census.element_set()
+
+
+@pytest.mark.parametrize("ring,n,k,side", [(Z6, 3, 4, "left"), (Z6, 3, 0, "right"),
+                                           (R2, 3, V, "two_sided"), (Z6, 2, 2, "left"),
+                                           (make_zmod(8), 2, 5, "right")],
+                         ids=lambda x: getattr(x, "literal", str(x)))
+def test_closure_in_small_blocks_gives_the_same_answer(monkeypatch, ring, n, k, side):
+    census = enumerate_semigroup(ring, n, k, side)
+    expected = verify_closure(census)
+    monkeypatch.setattr(_batch, "CHUNK", 64)
+    assert verify_closure(census) is expected
 
 
 def _hand_built(ring, n, *texts, side="left"):
