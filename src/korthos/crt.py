@@ -1,13 +1,15 @@
 """Residue decompositions of semi-local rings and the census cross-checks.
 
 A `CrtSplit` carries the componentwise isomorphism from a ring onto a product
-of factor rings: Z_n splits by prime powers (with Bezout reconstruction),
-F+vF splits onto two copies of F via the explicit linear maps
+of factor rings as one table of factor images: Z_n splits by prime powers
+(e -> e mod q), F+vF splits onto two copies of F via the explicit linear maps
 (a+vb -> (a+b, a) when v*v = v; a+vb -> (a-b, a+b) when v*v = 1), and product
-rings split into their components.  When every factor is a field, semigroup
-censuses over the source ring must match the products of the field-level
-censuses factor by factor; `verify_semigroup_isomorphism` checks this with
-the actual bijection, not just the counts.
+rings split into their components.  The inverse map is the same table read
+backwards, through the mixed-radix code of the factor parts.  When every
+factor is a field, semigroup censuses over the source ring must match the
+products of the field-level censuses factor by factor;
+`verify_semigroup_isomorphism` checks this with the actual bijection, not
+just the counts.
 """
 
 from __future__ import annotations
@@ -53,19 +55,31 @@ def _prime_power_factors(n):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class CrtSplit:
-    """forward/backward are mutually inverse; forward is a ring isomorphism
-    onto the componentwise product of the factors."""
+    """A ring isomorphism from `source` onto the componentwise product of the
+    factors, held as the (order, factors) index array `forward_np`: row e
+    holds the factor images of e."""
 
     source: Ring
     factors: list
-    _forward: callable
-    _backward: callable
+    forward_np: np.ndarray
+
+    @property
+    def _dims(self):
+        return tuple(f.order for f in self.factors)
+
+    @cached_property
+    def _inverse(self):
+        """The source element of each mixed-radix code of factor parts, -1
+        where no element maps."""
+        inv = np.full(math.prod(self._dims), -1)
+        inv[np.ravel_multi_index(self.forward_np.T, self._dims)] = np.arange(self.source.order)
+        return inv
 
     def forward(self, e):
         self.source.check_element(e)
-        return self._forward(e)
+        return tuple(self.forward_np[e].tolist())
 
     def backward(self, parts):
         parts = tuple(parts)
@@ -73,7 +87,7 @@ class CrtSplit:
             raise InvalidParameterError("component count mismatch")
         for f, x in zip(self.factors, parts):
             f.check_element(x)
-        return self._backward(parts)
+        return self._inverse.item(np.ravel_multi_index(parts, self._dims))
 
     def splits_to_fields(self):
         return all(f.is_field() for f in self.factors)
@@ -85,21 +99,14 @@ class CrtSplit:
                 f"{self.source.literal} does not split into fields (non-field factor(s): {bad})"
             )
 
-    @cached_property
-    def forward_np(self):
-        """The forward map as an (order, factors) index array: row e holds
-        the factor images of e."""
-        images = [self.forward(e) for e in self.source.elements()]
-        return np.array(images, dtype=np.uint8).reshape(self.source.order, len(self.factors))
-
     def verify(self):
-        """Exhaustive round-trip and homomorphism check: the ring tables are
-        compared with the factor tables through `forward_np`."""
+        """Exhaustive bijection and homomorphism check: the map is injective
+        onto a product of the same size, and the ring tables are compared
+        with the factor tables through `forward_np`."""
         R, fwd = self.source, self.forward_np
-        if [self.backward(parts) for parts in fwd.tolist()] != list(R.elements()):
-            raise InvariantViolationError("CRT round trip fails")
-        if len(np.unique(_batch.row_keys(fwd))) != R.order:
-            raise InvariantViolationError("CRT forward map is not injective")
+        if (fwd.shape != (R.order, len(self.factors)) or (fwd >= self._dims).any()
+                or math.prod(self._dims) != R.order or (self._inverse < 0).any()):
+            raise InvariantViolationError("CRT forward map is not a bijection")
         if fwd[R.zero].tolist() != [f.zero for f in self.factors]:
             raise InvariantViolationError("CRT map does not preserve 0")
         if fwd[R.one].tolist() != [f.one for f in self.factors]:
@@ -119,80 +126,38 @@ def split(ring):
     factor); v-extensions map onto base x base; product rings split into
     components; fields split trivially.
     """
+    e = np.arange(ring.order)
     if isinstance(ring, ZmodRing):
         qs = _prime_power_factors(ring.n)
-        factors = [make_zmod(q) for q in qs]
-        n = ring.n
-
-        def fwd(e, qs=tuple(qs)):
-            return tuple(e % q for q in qs)
-
-        # Bezout basis: e_i = 1 mod q_i, 0 mod the others
-        basis = []
-        for q in qs:
-            m = n // q
-            g, inv = _bezout_inverse(m, q)
-            if g != 1:
-                raise InvariantViolationError("prime power factors not coprime")
-            basis.append((m * inv) % n)
-
-        def bwd(parts, basis=tuple(basis), n=n):
-            return sum(r * b for r, b in zip(parts, basis)) % n
-
-        out = CrtSplit(ring, factors, fwd, bwd)
+        factors = [ring] if len(qs) == 1 else [make_zmod(q) for q in qs]
+        images = [e % q for q in qs]
     elif isinstance(ring, VExtensionRing):
         F = ring.base
+        factors = [F, F]
+        a, b = ring.components(e)
         if ring.v_square == "v":
-            def fwd(e, ring=ring, F=F):
-                a, b = ring.components(e)
-                return (F.add(a, b), a)
-
-            def bwd(parts, ring=ring, F=F):
-                s, t = parts
-                return ring.make(t, F.sub(s, t))
+            images = [F.add_np[a, b], a]
         else:
-            inv2 = F.inverse(F.add(F.one, F.one))
-
-            def fwd(e, ring=ring, F=F):
-                a, b = ring.components(e)
-                return (F.sub(a, b), F.add(a, b))
-
-            def bwd(parts, ring=ring, F=F, inv2=inv2):
-                s, t = parts
-                return ring.make(F.mul(F.add(s, t), inv2), F.mul(F.sub(t, s), inv2))
-
-        out = CrtSplit(ring, [F, F], fwd, bwd)
+            images = [F.add_np[a, F.neg_np[b]], F.add_np[a, b]]
     elif isinstance(ring, ProductRing):
-        out = CrtSplit(
-            ring, list(ring.components_rings),
-            ring.components,
-            lambda parts, ring=ring: ring.make(parts),
-        )
+        factors = list(ring.components_rings)
+        images = np.unravel_index(e, [f.order for f in factors])
     elif isinstance(ring, GaloisFieldRing):
-        out = CrtSplit(ring, [ring], lambda e: (e,), lambda parts: parts[0])
+        factors, images = [ring], [e]
     else:
         raise NotSplittableError(f"no residue decomposition for {ring.literal}")
+    out = CrtSplit(ring, factors, np.stack(images, axis=1).astype(np.uint8))
     out.verify()
     return out
-
-
-def _bezout_inverse(a, m):
-    """gcd(a, m) and the inverse of a modulo m when the gcd is 1."""
-    g, x = math.gcd(a, m), None
-    if g == 1:
-        x = pow(a, -1, m)
-    return g, x
 
 
 def map_matrix(crt_split, mat):
     """Entrywise forward image of a matrix, one factor matrix per component."""
     if mat.ring != crt_split.source:
         raise InvalidParameterError("matrix is not over the split's source ring")
-    images = [crt_split.forward(e) for e in mat.entries]
-    out = []
-    for idx, factor in enumerate(crt_split.factors):
-        out.append(Mat(factor, mat.rows, mat.cols, [img[idx] for img in images]))
-    return tuple(out)
+    images = crt_split.forward_np[list(mat.entries)]
+    return tuple(Mat(factor, mat.rows, mat.cols, images[:, j].tolist())
+                 for j, factor in enumerate(crt_split.factors))
 
 
 def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):

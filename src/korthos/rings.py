@@ -12,8 +12,11 @@ enumeration order, so censuses and golden files are reproducible:
 Every ring is table-backed: addition, multiplication and negation are looked
 up in ``uint8`` numpy tables (``add_np``, ``mul_np``, ``neg_np``) built once
 at construction, so rings of order above 256 (``TABLE_CAP``) are rejected
-there.  These arrays are the only tables: the scalar methods and the
-vectorized ops in ``_batch`` index the same ones.  Ring axioms are verified
+there.  Each kind builds its addition and multiplication tables from its
+structure in whole-array numpy operations (residues, polynomial convolution,
+gathers from the base or component tables); negation is read off the
+addition table.  These arrays are the only tables: the scalar methods and
+the vectorized ops in ``_batch`` index the same ones.  Ring axioms are verified
 exhaustively at construction for order <= 64 (pass ``verify=True`` to force
 the check on larger rings, ``verify=False`` to skip it).
 """
@@ -44,17 +47,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(p, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(p, a, m):
@@ -102,8 +94,19 @@ def render_poly(coeffs):
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$|^(\d+)$")
 
 
-def parse_poly(text, p):
-    """Parse ``x^2+x+1`` style polynomials into a coefficient tuple mod p."""
+def _parse_int(text, what):
+    """int(text), with a malformed or oversized number reported as bad input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(f"cannot parse {text!r} as {what}") from None
+
+
+def parse_poly(text, p, max_degree=None):
+    """Parse ``x^2+x+1`` style polynomials into a coefficient tuple mod p.
+
+    A term of degree above ``max_degree`` is rejected before the tuple is
+    built."""
     s = text.replace(" ", "")
     if not s:
         raise InvalidParameterError("empty polynomial")
@@ -112,11 +115,14 @@ def parse_poly(text, p):
         m = _TERM_RE.match(term)
         if not m:
             raise InvalidParameterError(f"bad polynomial term {term!r} in {text!r}")
+        what = f"a coefficient or exponent in {text!r}"
         if m.group(3) is not None:
-            deg, c = 0, int(m.group(3))
+            deg, c = 0, _parse_int(m.group(3), what)
         else:
-            deg = int(m.group(2)) if m.group(2) else 1
-            c = int(m.group(1)) if m.group(1) else 1
+            deg = _parse_int(m.group(2), what) if m.group(2) else 1
+            c = _parse_int(m.group(1), what) if m.group(1) else 1
+        if max_degree is not None and deg > max_degree:
+            raise InvalidParameterError(f"{text!r} has a term of degree above {max_degree}")
         coeffs[deg] = (coeffs.get(deg, 0) + c) % p
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
@@ -151,8 +157,10 @@ DEFAULT_MODULI = {
 class Ring:
     """A finite commutative ring with unity; elements are indices 0..order-1.
 
-    Subclasses provide the raw arithmetic (`_raw_add`, `_raw_mul`, `_raw_neg`)
-    that fills the tables at construction, rendering, and a structural `key`.
+    Subclasses provide `_tables`, which returns the addition and
+    multiplication tables as integer arrays built from the ring's structure,
+    rendering, and a structural `key`.  Negation is the column where each
+    row of the addition table is zero.
     Two descriptors compare equal iff their keys match, so independently
     constructed copies of the same ring interoperate.
     """
@@ -169,10 +177,11 @@ class Ring:
         self.order = order
         self._units_cache = None
         self._inv_cache = None
-        rng = range(order)
-        self.add_np = np.array([[self._raw_add(a, b) for b in rng] for a in rng], dtype=np.uint8)
-        self.mul_np = np.array([[self._raw_mul(a, b) for b in rng] for a in rng], dtype=np.uint8)
-        self.neg_np = np.array([self._raw_neg(a) for a in rng], dtype=np.uint8)
+        self.add_np, self.mul_np = (t.astype(np.uint8) for t in self._tables())
+        is_zero = self.add_np == self.zero
+        if not is_zero.any(axis=1).all():
+            raise InvariantViolationError(f"{self.literal}: additive inverses fails")
+        self.neg_np = is_zero.argmax(axis=1).astype(np.uint8)
         if self.one == self.zero:
             raise InvalidParameterError("ring unity coincides with zero")
         c, acc = 1, self.one
@@ -189,13 +198,7 @@ class Ring:
     zero = 0
     one = 1
 
-    def _raw_add(self, a, b):
-        raise NotImplementedError
-
-    def _raw_mul(self, a, b):
-        raise NotImplementedError
-
-    def _raw_neg(self, a):
+    def _tables(self):
         raise NotImplementedError
 
     @property
@@ -284,8 +287,6 @@ class Ring:
             fail("additive identity")
         if not (mul[self.one] == i).all():
             fail("multiplicative identity")
-        if not ((add == self.zero).any(axis=1)).all():
-            fail("additive inverses")
         # associativity and distributivity on all triples
         a = i[:, None, None]
         b = i[None, :, None]
@@ -321,14 +322,9 @@ class ZmodRing(Ring):
         self.n = n
         super().__init__(n, verify=verify)
 
-    def _raw_add(self, a, b):
-        return (a + b) % self.n
-
-    def _raw_mul(self, a, b):
-        return (a * b) % self.n
-
-    def _raw_neg(self, a):
-        return (-a) % self.n
+    def _tables(self):
+        i = np.arange(self.n)
+        return np.add.outer(i, i) % self.n, np.multiply.outer(i, i) % self.n
 
     @property
     def key(self):
@@ -342,10 +338,7 @@ class ZmodRing(Ring):
         return str(a)
 
     def parse_element(self, text):
-        try:
-            return int(text.strip()) % self.n
-        except ValueError:
-            raise InvalidParameterError(f"cannot parse {text!r} as an element of {self.literal}")
+        return _parse_int(text.strip(), f"an element of {self.literal}") % self.n
 
 
 class GaloisFieldRing(Ring):
@@ -355,10 +348,15 @@ class GaloisFieldRing(Ring):
     kind = "field"
 
     def __init__(self, p, r, modulus=None, verify=None):
-        if not _is_prime(p):
-            raise InvalidParameterError(f"{p} is not prime")
         if not isinstance(r, int) or r < 1:
             raise InvalidParameterError("extension degree must be >= 1")
+        # p >= 2 and r >= 9 give p^r >= 512, so p**r is only formed for r <= 8
+        if p > 1 and (r >= TABLE_CAP.bit_length() or p ** r > TABLE_CAP):
+            raise InvalidParameterError(
+                f"GF({p},{r}) has more than the supported order {TABLE_CAP} elements"
+            )
+        if not _is_prime(p):
+            raise InvalidParameterError(f"{p} is not prime")
         self.p = p
         self.r = r
         if modulus is None:
@@ -371,7 +369,7 @@ class GaloisFieldRing(Ring):
                     f"no default modulus for GF({p},{r}); pass one explicitly"
                 )
         if isinstance(modulus, str):
-            modulus = parse_poly(modulus, p)
+            modulus = parse_poly(modulus, p, max_degree=r)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise InvalidParameterError(
@@ -392,20 +390,19 @@ class GaloisFieldRing(Ring):
         poly = _poly_mod(self.p, tuple(c % self.p for c in vec), self.modulus)
         return sum(c * self.p ** i for i, c in enumerate(poly))
 
-    def _raw_add(self, a, b):
-        p = self.p
-        out = 0
-        for i in range(self.r):
-            out += (((a // p ** i) + (b // p ** i)) % p) * p ** i
-        return out
-
-    def _raw_mul(self, a, b):
-        prod = _poly_mul(self.p, _poly_trim(self.coeffs(a)), _poly_trim(self.coeffs(b)))
-        return self.from_coeffs(_poly_mod(self.p, prod, self.modulus))
-
-    def _raw_neg(self, a):
-        p = self.p
-        return sum(((-c) % p) * p ** i for i, c in enumerate(self.coeffs(a)))
+    def _tables(self):
+        p, r = self.p, self.r
+        weights = p ** np.arange(r)
+        digits = np.arange(self.order)[:, None] // weights % p
+        add = (digits[:, None] + digits[None, :]) % p @ weights
+        # coefficients of the product polynomials, degrees 0 .. 2r-2
+        conv = np.zeros((self.order, self.order, 2 * r - 1), dtype=np.intp)
+        for i in range(r):
+            conv[:, :, i:i + r] += digits[:, None, i, None] * digits[None, :, :]
+        # row s holds the coefficients of x^s mod the modulus
+        reduce = np.array([(_poly_mod(p, (0,) * s + (1,), self.modulus) + (0,) * r)[:r]
+                           for s in range(2 * r - 1)])
+        return add, conv @ reduce % p @ weights
 
     @property
     def key(self):
@@ -424,17 +421,15 @@ class GaloisFieldRing(Ring):
 
     def parse_element(self, text):
         s = text.strip()
+        what = f"an element of {self.literal}"
         if self.r == 1:
-            try:
-                return int(s) % self.p
-            except ValueError:
-                raise InvalidParameterError(f"cannot parse {s!r} as an element of {self.literal}")
+            return _parse_int(s, what) % self.p
         if not (s.startswith("(") and s.endswith(")")):
             raise InvalidParameterError(f"field element must be a coefficient tuple, got {s!r}")
         parts = [t for t in s[1:-1].split(",") if t.strip() != ""]
         if len(parts) != self.r:
             raise InvalidParameterError(f"expected {self.r} coefficients in {s!r}")
-        return self.from_coeffs(int(t) for t in parts)
+        return self.from_coeffs(_parse_int(t, what) for t in parts)
 
 
 class VExtensionRing(Ring):
@@ -478,28 +473,16 @@ class VExtensionRing(Ring):
         """The index of the adjoined element v itself."""
         return self.base.one
 
-    def _raw_add(self, x, y):
-        a, b = divmod(x, self.q)
-        c, d = divmod(y, self.q)
-        F = self.base
-        return F.add(a, c) * self.q + F.add(b, d)
-
-    def _raw_mul(self, x, y):
-        a, b = divmod(x, self.q)
-        c, d = divmod(y, self.q)
-        F = self.base
-        ac = F.mul(a, c)
-        ad = F.mul(a, d)
-        bc = F.mul(b, c)
-        bd = F.mul(b, d)
+    def _tables(self):
+        # x = a + v*b against y = c + v*d
+        fadd, fmul = self.base.add_np.astype(np.intp), self.base.mul_np.astype(np.intp)
+        a, b = self.components(np.arange(self.order))
+        a, b, c, d = a[:, None], b[:, None], a[None, :], b[None, :]
+        ac, bd, cross = fmul[a, c], fmul[b, d], fadd[fmul[a, d], fmul[b, c]]
+        add = fadd[a, c] * self.q + fadd[b, d]
         if self.v_square == "v":
-            return ac * self.q + F.add(F.add(ad, bc), bd)
-        return F.add(ac, bd) * self.q + F.add(ad, bc)
-
-    def _raw_neg(self, x):
-        a, b = divmod(x, self.q)
-        F = self.base
-        return F.neg(a) * self.q + F.neg(b)
+            return add, ac * self.q + fadd[cross, bd]
+        return add, fadd[ac, bd] * self.q + cross
 
     @property
     def key(self):
@@ -584,25 +567,17 @@ class ProductRing(Ring):
     def one(self):
         return self.make(r.one for r in self.components_rings)
 
-    def _componentwise(self, x, y, op):
-        xs = self.components(x)
-        ys = self.components(y)
-        e = 0
-        for ring, a, b in zip(self.components_rings, xs, ys):
-            e = e * ring.order + op(ring, a, b)
-        return e
-
-    def _raw_add(self, x, y):
-        return self._componentwise(x, y, lambda r, a, b: r.add(a, b))
-
-    def _raw_mul(self, x, y):
-        return self._componentwise(x, y, lambda r, a, b: r.mul(a, b))
-
-    def _raw_neg(self, x):
-        e = 0
-        for ring, a in zip(self.components_rings, self.components(x)):
-            e = e * ring.order + ring.neg(a)
-        return e
+    def _tables(self):
+        # mixed radix, the last component least significant
+        e = np.arange(self.order)
+        add = mul = 0
+        stride = 1
+        for ring in reversed(self.components_rings):
+            x = (e // stride % ring.order)[:, None]
+            add = add + ring.add_np[x, x.T].astype(np.intp) * stride
+            mul = mul + ring.mul_np[x, x.T].astype(np.intp) * stride
+            stride *= ring.order
+        return add, mul
 
     @property
     def key(self):
@@ -693,7 +668,7 @@ def _parse_single_ring(s):
         return make_r2()
     m = _ZMOD_RE.match(s)
     if m:
-        return make_zmod(int(m.group(1)))
+        return make_zmod(_parse_int(m.group(1), "a modulus"))
     m = _VEXT_RE.match(s)
     if m:
         halves = split_top_level(m.group("body"), "+v")

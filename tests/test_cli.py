@@ -205,6 +205,24 @@ def test_ring_above_table_cap_exits_1(capsys):
     assert "korthos: error:" in err and "256" in err
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("idempotents", "--ring", f"Z{NINES}"),
+    ("idempotents", "--ring", f"GF(2,2;x^{NINES}+1)"),
+    ("census", "--ring", "GF(2,2)", "--n", "2", "--k", "(a,1)"),
+    ("code", "--ring", "GF(2,2)", "--A", "(1,b)"),
+    ("idempotents", "--ring", "GF(1000000000000000003)"),
+    ("idempotents", "--ring", "GF(2,61;x^61+x^5+x^2+x+1)"),
+], ids=["zmod-digits", "modulus-digits", "field-element", "matrix-entry",
+        "huge-prime", "huge-degree"])
+def test_bad_literal_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "korthos: error:" in err
+
+
 def test_missing_table_file_exits_1(capsys):
     code, _, err = run(capsys, "verify", "--table", "no/such/file.json")
     assert code == 1

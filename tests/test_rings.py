@@ -217,6 +217,83 @@ def test_out_of_range_index_rejected():
 
 
 # ---------------------------------------------------------------------------
+# tables against the textbook operations
+
+def _reference_ops(ring):
+    """(add, mul, neg) on element indices, written out from the ring's
+    definition without reading any table."""
+    if ring.kind == "zmod":
+        n = ring.n
+        return lambda a, b: (a + b) % n, lambda a, b: a * b % n, lambda a: -a % n
+    if ring.kind == "field":
+        p, r, m = ring.p, ring.r, ring.modulus
+
+        def vec(a):
+            return [a // p ** i % p for i in range(r)]
+
+        def index(coeffs):
+            return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+        def mul(a, b):
+            prod = [0] * (2 * r - 1)
+            for i, x in enumerate(vec(a)):
+                for j, y in enumerate(vec(b)):
+                    prod[i + j] += x * y
+            # long division by the monic modulus, top degree first
+            for d in range(2 * r - 2, r - 1, -1):
+                lead = prod[d]
+                for i, c in enumerate(m):
+                    prod[d - r + i] -= lead * c
+            return index(prod[:r])
+
+        return (lambda a, b: index([x + y for x, y in zip(vec(a), vec(b))]), mul,
+                lambda a: index([-x for x in vec(a)]))
+    if ring.kind == "vext":
+        fadd, fmul, fneg = _reference_ops(ring.base)
+        q = ring.q
+
+        def mul(x, y):
+            # (a + vb)(c + vd) = ac + v(ad + bc) + v^2 bd
+            (a, b), (c, d) = divmod(x, q), divmod(y, q)
+            ac, bd, cross = fmul(a, c), fmul(b, d), fadd(fmul(a, d), fmul(b, c))
+            if ring.v_square == "v":
+                return ac * q + fadd(cross, bd)
+            return fadd(ac, bd) * q + cross
+
+        return (lambda x, y: fadd(x // q, y // q) * q + fadd(x % q, y % q), mul,
+                lambda x: fneg(x // q) * q + fneg(x % q))
+    parts = ring.components_rings
+    ops = [_reference_ops(c) for c in parts]
+
+    def digits(e):
+        out = []
+        for c in reversed(parts):
+            e, x = divmod(e, c.order)
+            out.append(x)
+        return out[::-1]
+
+    def componentwise(k):
+        def op(*xs):
+            e = 0
+            for c, c_ops, *ds in zip(parts, ops, *map(digits, xs)):
+                e = e * c.order + c_ops[k](*ds)
+            return e
+        return op
+
+    return componentwise(0), componentwise(1), componentwise(2)
+
+
+def test_tables_match_the_scalar_definitions():
+    extra = ["GF(2,5)", "GF(7,2)", "Z256", "GF(3)+vGF(3)[v2=1]", "Z6xZ4"]
+    for ring in ring_family() + [parse_ring(t) for t in extra]:
+        add, mul, neg = _reference_ops(ring)
+        els = ring.elements()
+        assert ring.add_np.tolist() == [[add(a, b) for b in els] for a in els], ring.literal
+        assert ring.mul_np.tolist() == [[mul(a, b) for b in els] for a in els], ring.literal
+        assert ring.neg_np.tolist() == [neg(a) for a in els], ring.literal
+
+
+# ---------------------------------------------------------------------------
 # ring axioms
 
 def test_laws_verified_at_desk_scale():
