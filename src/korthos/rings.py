@@ -704,6 +704,11 @@ def parse_ring(text):
     if not s:
         raise InvalidParameterError("empty ring literal")
     parts = split_top_level(s, "x")
+    # every factor has at least two elements, so nine give at least 512
+    if len(parts) >= TABLE_CAP.bit_length():
+        raise InvalidParameterError(
+            f"a product of {len(parts)} rings has more than the supported order {TABLE_CAP} elements"
+        )
     if len(parts) > 1:
         return make_product([_parse_single_ring(p) for p in parts])
     return _parse_single_ring(parts[0])

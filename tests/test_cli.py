@@ -215,8 +215,9 @@ NINES = "9" * 5000
     ("code", "--ring", "GF(2,2)", "--A", "(1,b)"),
     ("idempotents", "--ring", "GF(1000000000000000003)"),
     ("idempotents", "--ring", "GF(2,61;x^61+x^5+x^2+x+1)"),
+    ("idempotents", "--ring", "x".join(["Z2"] * 15000)),
 ], ids=["zmod-digits", "modulus-digits", "field-element", "matrix-entry",
-        "huge-prime", "huge-degree"])
+        "huge-prime", "huge-degree", "many-factors"])
 def test_bad_literal_exits_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1

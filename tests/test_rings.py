@@ -2,6 +2,7 @@ import pytest
 
 from korthos import (
     InvalidParameterError,
+    InvariantViolationError,
     NotAUnitError,
     RingMismatchError,
     make_galois_field,
@@ -11,7 +12,7 @@ from korthos import (
     make_zmod,
     parse_ring,
 )
-from korthos.rings import parse_poly, render_poly
+from korthos.rings import ZmodRing, parse_poly, render_poly
 
 from helpers import ring_family
 
@@ -293,6 +294,17 @@ def test_tables_match_the_scalar_definitions():
         assert ring.neg_np.tolist() == [neg(a) for a in els], ring.literal
 
 
+def test_addition_table_without_a_zero_in_a_row_is_rejected():
+    class NoInverse(ZmodRing):
+        def _tables(self):
+            add, mul = super()._tables()
+            add[1] = 1
+            return add, mul
+
+    with pytest.raises(InvariantViolationError, match="additive inverses"):
+        NoInverse(3, verify=False)
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 
@@ -384,6 +396,8 @@ def test_poly_render_parse():
     assert parse_poly("x^2+x+1", 2) == (1, 1, 1)
     assert parse_poly("x^3+2x+1", 3) == (1, 2, 0, 1)
     assert render_poly((1, 2, 0, 1)) == "x^3+2x+1"
+    with pytest.raises(InvalidParameterError):
+        parse_poly("x^99999999999+1", 2, max_degree=2)
 
 
 def test_element_index_conventions():
