@@ -568,16 +568,15 @@ class ProductRing(Ring):
         return self.make(r.one for r in self.components_rings)
 
     def _tables(self):
-        # mixed radix, the last component least significant
-        e = np.arange(self.order)
-        add = mul = 0
-        stride = 1
-        for ring in reversed(self.components_rings):
-            x = (e // stride % ring.order)[:, None]
-            add = add + ring.add_np[x, x.T].astype(np.intp) * stride
-            mul = mul + ring.mul_np[x, x.T].astype(np.intp) * stride
-            stride *= ring.order
-        return add, mul
+        dims = [r.order for r in self.components_rings]
+        digits = np.unravel_index(np.arange(self.order), dims)
+
+        def gather(table):
+            return np.ravel_multi_index(
+                [getattr(r, table)[x[:, None], x] for r, x in zip(self.components_rings, digits)],
+                dims)
+
+        return gather("add_np"), gather("mul_np")
 
     @property
     def key(self):
