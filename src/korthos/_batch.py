@@ -3,7 +3,7 @@
 Every ring is table-backed, so element indices fit in ``uint8``; the
 functions operate on arrays whose values are element indices.  The search,
 the censuses, the orthogonality predicates, closure, the CRT bijection, code
-spans and dual sweeps all run here.  `gram_is_scalar` is the one Gram test
+spans and dual joins all run here.  `gram_is_scalar` is the one Gram test
 behind every k-orthogonality check.
 """
 
@@ -74,6 +74,8 @@ def gram_is_scalar(ring, vecs, k):
 def row_keys(flat):
     """One fixed-width bytes key per row of a uint8 array, exact at any row
     length; keys sort like the rows read as tuples."""
+    if flat.shape[-1] == 0:   # a key needs at least one byte; empty rows are all equal
+        flat = np.zeros(flat.shape[:-1] + (1,), dtype=np.uint8)
     flat = np.ascontiguousarray(flat)
     return flat.view(np.dtype((np.void, flat.shape[-1])))[..., 0]
 

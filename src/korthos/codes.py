@@ -1,16 +1,23 @@
 """Linear codes over finite commutative rings from (anti/self-)orthogonal
 matrices: duals, self-duality classification, Hamming and Lee distances.
 
-Codewords are stored explicitly (spanned as {uG : u in R^k}); duals are
-computed by sweeping R^n for vectors orthogonal to every generator row, which
-stays correct over non-field rings where parity-check derivations by row
-reduction are unreliable.  Both sweeps are budget-capped.
+A code holds its codewords as one sorted, duplicate-free (size, length) uint8
+array of element indices, spanned as {uG : u in R^k}.  The dual comes from a
+split syndrome join: with x = (x1, x2) split at n1 = ceil(n/2) and each row
+g = (g1, g2) split alike, <g, x> = 0 exactly when <g1, x1> = -<g2, x2>.  So
+the syndromes of the |R|^n1 left halves are matched against the negated
+syndromes of the |R|^(n-n1) right halves.  This needs only a commutative
+ring, so it stays correct over non-field rings where parity-check
+derivations by row reduction are unreliable.  Spans and joins are
+budget-capped.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -28,32 +35,49 @@ from .rings import Ring, ZmodRing
 DEFAULT_WORD_BUDGET = 10 ** 6
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearCode:
     """A code of the given length with its full codeword set.
 
-    `generator` is the spanning matrix the code was built from, or None for
-    codes obtained as duals (their codewords are carried explicitly).
+    `array` holds the codewords as one sorted, duplicate-free (size, length)
+    uint8 array of element indices; `words` (a frozenset of tuples) and
+    `sorted_words` are views of it.  `generator` is the spanning matrix the
+    code was built from, or None for codes obtained as duals.
     """
 
     ring: Ring
     length: int
     generator: Mat | None
-    words: frozenset
+    array: np.ndarray
     systematic: bool
 
     @property
     def size(self):
-        return len(self.words)
+        return len(self.array)
+
+    @cached_property
+    def words(self):
+        return frozenset(self.sorted_words())
 
     def sorted_words(self):
-        return sorted(self.words)
+        return list(map(tuple, self.array.tolist()))
+
+    @property
+    def _keys(self):
+        """Row keys of the codewords (see `_batch.row_keys`), sorted because
+        the array is."""
+        return _batch.row_keys(self.array)
 
     def is_trivial(self):
         return self.size == 1
 
     def __contains__(self, word):
-        return tuple(word) in self.words
+        word = tuple(word)
+        if len(word) != self.length or not all(
+                isinstance(x, Integral) and 0 <= x < self.ring.order for x in word):
+            return False
+        key = _batch.row_keys(np.array(word, dtype=np.uint8))
+        return bool(_batch.lookup(self._keys, key) >= 0)
 
 
 DualityReport = namedtuple(
@@ -63,16 +87,29 @@ DualityReport = namedtuple(
 )
 
 
+def _combinations(ring, rows):
+    """sum_i u_i * rows[i] for every u in R^k, as a (|R|^k, w) array in the
+    order of `_batch.all_tuples(ring.order, k)`; each row multiplies the
+    accumulator by |R|, so no temporary outgrows the result."""
+    width = rows.shape[1]
+    acc = np.full((1, width), ring.zero, dtype=np.uint8)
+    for row in rows:
+        multiples = ring.mul_np[:, row]          # x * row for every x in R
+        acc = ring.add_np[acc[:, None, :], multiples].reshape(len(acc) * ring.order, width)
+    return acc
+
+
 def _span_words(ring, gen, budget):
-    k = gen.rows
-    messages = ring.order ** k
+    """The codewords {uG : u in R^k}, sorted and duplicate-free: a generator
+    that is not free spans fewer words than messages."""
+    messages = ring.order ** gen.rows
     if messages > budget:
         raise BudgetExceededError(
             f"spanning {messages} messages exceeds the budget of {budget}"
         )
-    u = _batch.all_tuples(ring.order, k)
-    w = _batch.batch_matmul(ring, u[:, None, :], _array(gen))[:, 0, :]
-    return frozenset(map(tuple, w.tolist()))
+    words = _combinations(ring, _array(gen))
+    _, first = np.unique(_batch.row_keys(words), return_index=True)
+    return words[first]
 
 
 def code_from_generator(ring, gen, budget=DEFAULT_WORD_BUDGET):
@@ -80,15 +117,9 @@ def code_from_generator(ring, gen, budget=DEFAULT_WORD_BUDGET):
     if gen.ring != ring:
         raise InvalidParameterError("generator is not over the given ring")
     k = gen.rows
-    systematic = (
-        gen.cols >= k
-        and all(
-            gen[i, j] == (ring.one if i == j else ring.zero)
-            for i in range(k) for j in range(k)
-        )
-    )
-    words = _span_words(ring, gen, budget)
-    return LinearCode(ring, gen.cols, gen, words, systematic)
+    systematic = gen.cols >= k and np.array_equal(_array(gen)[:, :k],
+                                                  _array(identity(ring, k)))
+    return LinearCode(ring, gen.cols, gen, _span_words(ring, gen, budget), systematic)
 
 
 def systematic_from_A(a, budget=DEFAULT_WORD_BUDGET):
@@ -100,30 +131,38 @@ def systematic_from_A(a, budget=DEFAULT_WORD_BUDGET):
 
 
 def dual_code(code, budget=DEFAULT_WORD_BUDGET):
-    """All vectors of R^n orthogonal to the code.
+    """All vectors of R^n orthogonal to the code, by the split syndrome join.
 
-    Orthogonality is tested against the generator rows when available (enough
-    by linearity), else against every codeword.
+    The rows are the generator's when the code has one (enough by
+    linearity), else every codeword.  The budget is charged for the half
+    vectors before any syndrome is formed, then for the dual words before
+    any is listed.  Left halves run in order and each meets its matching
+    right halves in order, so the words come out sorted.
     """
-    ring, n = code.ring, code.length
-    total = ring.order ** n
-    if total > budget:
+    ring, n, q = code.ring, code.length, code.ring.order
+    n1 = (n + 1) // 2
+    halves = q ** n1 + q ** (n - n1)
+    if halves > budget:
         raise BudgetExceededError(
-            f"dual sweep of {total} vectors exceeds the budget of {budget}"
+            f"dual join over {halves} half vectors exceeds the budget of {budget}"
         )
-    if code.generator is not None:
-        rows = [code.generator.row(i) for i in range(code.generator.rows)]
-    else:
-        rows = code.sorted_words()
-    if n == 0:
-        return LinearCode(ring, 0, None, frozenset([()]), False)
-    cands = _batch.all_tuples(ring.order, n)
-    mask = np.ones(len(cands), dtype=bool)
-    for row in rows:
-        r = np.asarray(row, dtype=cands.dtype)
-        mask &= _batch.batch_dot(ring, cands, r) == ring.zero
-    words = frozenset(map(tuple, cands[mask].tolist()))
-    return LinearCode(ring, n, None, words, False)
+    rows = code.array if code.generator is None else _array(code.generator)
+    left_keys = _batch.row_keys(_combinations(ring, rows[:, :n1].T))
+    right_keys = _batch.row_keys(ring.neg_np[_combinations(ring, rows[:, n1:].T)])
+    by_key = np.argsort(right_keys, kind="stable")
+    lo = np.searchsorted(right_keys[by_key], left_keys, "left")
+    cnt = np.searchsorted(right_keys[by_key], left_keys, "right") - lo
+    size = int(cnt.sum())
+    if halves + size > budget:
+        raise BudgetExceededError(
+            f"dual join over {halves} half vectors and {size} dual words "
+            f"exceeds the budget of {budget}"
+        )
+    # left half i meets the right halves by_key[lo[i] : lo[i] + cnt[i]]
+    within = np.arange(size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    right = _batch.all_tuples(q, n - n1)[by_key[np.repeat(lo, cnt) + within]]
+    left = np.repeat(_batch.all_tuples(q, n1), cnt, axis=0)
+    return LinearCode(ring, n, None, np.concatenate([left, right], axis=1), False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +205,16 @@ def row_self_orthogonal_check(gen):
 # ---------------------------------------------------------------------------
 # distances
 
+def _min_nonzero(weights):
+    weights = weights[weights > 0]
+    if not len(weights):
+        raise UndefinedDistanceError("code has no nonzero codeword")
+    return int(weights.min())
+
+
 def hamming_distance(code):
     """Minimum Hamming weight over the nonzero codewords."""
-    best = None
-    for w in code.words:
-        wt = sum(1 for x in w if x != code.ring.zero)
-        if wt and (best is None or wt < best):
-            best = wt
-    if best is None:
-        raise UndefinedDistanceError("code has no nonzero codeword")
-    return best
+    return _min_nonzero((code.array != code.ring.zero).sum(axis=1))
 
 
 def lee_distance(code):
@@ -184,15 +223,8 @@ def lee_distance(code):
     ring = code.ring
     if not isinstance(ring, ZmodRing):
         raise NotApplicableError("Lee distance is defined over Z_m rings only")
-    m = ring.n
-    best = None
-    for w in code.words:
-        wt = sum(min(x, m - x) for x in w)
-        if wt and (best is None or wt < best):
-            best = wt
-    if best is None:
-        raise UndefinedDistanceError("code has no nonzero codeword")
-    return best
+    x = np.arange(ring.n)
+    return _min_nonzero(np.minimum(x, ring.n - x)[code.array].sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +234,11 @@ def duality_report(code, budget=DEFAULT_WORD_BUDGET):
 
     `gram_nonsingular` (is det(GG^T) a unit) is reported as an independent
     observable; no relation to self-duality is assumed.  LCD status is tied
-    to C intersect C-perp = {0}.
+    to C intersect C-perp = {0}; both hold the zero word, so LCD means
+    exactly one shared word.
     """
     dual = dual_code(code, budget)
-    zero_word = tuple([code.ring.zero] * code.length)
-    self_dual = code.words == dual.words
-    weakly = code.words <= dual.words
-    lcd = (code.words & dual.words) == {zero_word}
+    shared = int((_batch.lookup(dual._keys, code._keys) >= 0).sum())
     gram_nonsingular = None
     if code.generator is not None:
         # G G^T straight from the entries: a length-0 code has no G^T
@@ -226,9 +256,9 @@ def duality_report(code, budget=DEFAULT_WORD_BUDGET):
         ld = None
     return DualityReport(
         dual_size=dual.size,
-        self_dual=self_dual,
-        weakly_self_dual=weakly,
-        lcd=lcd,
+        self_dual=np.array_equal(code.array, dual.array),
+        weakly_self_dual=shared == code.size,
+        lcd=shared == 1,
         gram_nonsingular=gram_nonsingular,
         hamming_distance=hd,
         lee_distance=ld,

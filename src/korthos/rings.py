@@ -94,12 +94,35 @@ def render_poly(coeffs):
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$|^(\d+)$")
 
 
+CLIP = 60
+
+
+def _clip(value):
+    """`value` as an error message echoes it: a number, or the repr of a
+    literal cut in the middle past CLIP characters; a huge int is described
+    by its bit length instead of being converted to text."""
+    if isinstance(value, int):
+        return f"a {value.bit_length()}-bit number" if value.bit_length() > 3 * CLIP else str(value)
+    text = repr(value)
+    if len(text) <= CLIP:
+        return text
+    return f"{text[:CLIP // 2]}...{text[-(CLIP // 2):]} ({len(text)} characters)"
+
+
+def _check_factor_count(count):
+    # every factor has at least two elements, so nine give at least 512
+    if count >= TABLE_CAP.bit_length():
+        raise InvalidParameterError(
+            f"a product of {count} rings has more than the supported order {TABLE_CAP} elements"
+        )
+
+
 def _parse_int(text, what):
     """int(text), with a malformed or oversized number reported as bad input."""
     try:
         return int(text)
     except ValueError:
-        raise InvalidParameterError(f"cannot parse {text!r} as {what}") from None
+        raise InvalidParameterError(f"cannot parse {_clip(text)} as {what}") from None
 
 
 def parse_poly(text, p, max_degree=None):
@@ -114,15 +137,15 @@ def parse_poly(text, p, max_degree=None):
     for term in s.split("+"):
         m = _TERM_RE.match(term)
         if not m:
-            raise InvalidParameterError(f"bad polynomial term {term!r} in {text!r}")
-        what = f"a coefficient or exponent in {text!r}"
+            raise InvalidParameterError(f"bad polynomial term {_clip(term)} in {_clip(text)}")
+        what = f"a coefficient or exponent in {_clip(text)}"
         if m.group(3) is not None:
             deg, c = 0, _parse_int(m.group(3), what)
         else:
             deg = _parse_int(m.group(2), what) if m.group(2) else 1
             c = _parse_int(m.group(1), what) if m.group(1) else 1
         if max_degree is not None and deg > max_degree:
-            raise InvalidParameterError(f"{text!r} has a term of degree above {max_degree}")
+            raise InvalidParameterError(f"{_clip(text)} has a term of degree above {max_degree}")
         coeffs[deg] = (coeffs.get(deg, 0) + c) % p
     top = max(coeffs)
     return tuple(coeffs.get(i, 0) for i in range(top + 1))
@@ -172,7 +195,7 @@ class Ring:
             raise InvalidParameterError("ring must have at least two elements")
         if order > TABLE_CAP:
             raise InvalidParameterError(
-                f"ring of order {order} exceeds the supported order {TABLE_CAP}"
+                f"ring of order {_clip(order)} exceeds the supported order {TABLE_CAP}"
             )
         self.order = order
         self._units_cache = None
@@ -353,7 +376,7 @@ class GaloisFieldRing(Ring):
         # p >= 2 and r >= 9 give p^r >= 512, so p**r is only formed for r <= 8
         if p > 1 and (r >= TABLE_CAP.bit_length() or p ** r > TABLE_CAP):
             raise InvalidParameterError(
-                f"GF({p},{r}) has more than the supported order {TABLE_CAP} elements"
+                f"GF({_clip(p)},{_clip(r)}) has more than the supported order {TABLE_CAP} elements"
             )
         if not _is_prime(p):
             raise InvalidParameterError(f"{p} is not prime")
@@ -425,10 +448,10 @@ class GaloisFieldRing(Ring):
         if self.r == 1:
             return _parse_int(s, what) % self.p
         if not (s.startswith("(") and s.endswith(")")):
-            raise InvalidParameterError(f"field element must be a coefficient tuple, got {s!r}")
+            raise InvalidParameterError(f"field element must be a coefficient tuple, got {_clip(s)}")
         parts = [t for t in s[1:-1].split(",") if t.strip() != ""]
         if len(parts) != self.r:
-            raise InvalidParameterError(f"expected {self.r} coefficients in {s!r}")
+            raise InvalidParameterError(f"expected {self.r} coefficients in {_clip(s)}")
         return self.from_coeffs(_parse_int(t, what) for t in parts)
 
 
@@ -513,7 +536,7 @@ class VExtensionRing(Ring):
         else:
             cut = _find_top_level(s, "+v")
             if cut < 0:
-                raise InvalidParameterError(f"cannot parse {s!r} as an element of {self.literal}")
+                raise InvalidParameterError(f"cannot parse {_clip(s)} as an element of {self.literal}")
             head, tail = s[:cut], s[cut + 2:]
         a = F.parse_element(head) if head else F.zero
         if tail == "":
@@ -521,7 +544,7 @@ class VExtensionRing(Ring):
         elif tail.startswith("*"):
             b = F.parse_element(tail[1:])
         else:
-            raise InvalidParameterError(f"cannot parse {s!r} as an element of {self.literal}")
+            raise InvalidParameterError(f"cannot parse {_clip(s)} as an element of {self.literal}")
         return self.make(a, b)
 
 
@@ -534,6 +557,7 @@ class ProductRing(Ring):
         components = list(components)
         if not components:
             raise InvalidParameterError("product ring needs at least one component")
+        _check_factor_count(len(components))
         if not all(isinstance(c, Ring) for c in components):
             raise InvalidParameterError("product components must be rings")
         self.components_rings = components
@@ -593,10 +617,10 @@ class ProductRing(Ring):
     def parse_element(self, text):
         s = text.strip()
         if not (s.startswith("(") and s.endswith(")")):
-            raise InvalidParameterError(f"product element must be a tuple, got {s!r}")
+            raise InvalidParameterError(f"product element must be a tuple, got {_clip(s)}")
         parts = split_top_level(s[1:-1], ",")
         if len(parts) != len(self.components_rings):
-            raise InvalidParameterError(f"expected {len(self.components_rings)} components in {s!r}")
+            raise InvalidParameterError(f"expected {len(self.components_rings)} components in {_clip(s)}")
         return self.make(r.parse_element(t) for r, t in zip(self.components_rings, parts))
 
 
@@ -672,10 +696,10 @@ def _parse_single_ring(s):
     if m:
         halves = split_top_level(m.group("body"), "+v")
         if len(halves) != 2 or halves[0] != halves[1]:
-            raise InvalidParameterError(f"malformed v-extension literal {s!r}")
+            raise InvalidParameterError(f"malformed v-extension literal {_clip(s)}")
         base = _parse_single_ring(halves[0])
         if not isinstance(base, GaloisFieldRing):
-            raise InvalidParameterError(f"v-extension base must be a field literal in {s!r}")
+            raise InvalidParameterError(f"v-extension base must be a field literal in {_clip(s)}")
         return make_v_extension(base, m.group("rule"))
     if s.startswith("GF(") and s.endswith(")"):
         inner = s[3:-1]
@@ -688,26 +712,22 @@ def _parse_single_ring(s):
             p = int(nums[0])
             r = int(nums[1]) if len(nums) > 1 else 1
         except (ValueError, IndexError):
-            raise InvalidParameterError(f"malformed field literal {s!r}")
+            raise InvalidParameterError(f"malformed field literal {_clip(s)}")
         if len(nums) > 2:
-            raise InvalidParameterError(f"malformed field literal {s!r}")
+            raise InvalidParameterError(f"malformed field literal {_clip(s)}")
         return make_galois_field(p, r, modulus=poly)
-    raise InvalidParameterError(f"unrecognized ring literal {s!r}")
+    raise InvalidParameterError(f"unrecognized ring literal {_clip(s)}")
 
 
 def parse_ring(text):
     """Parse a ring literal (product components joined by a top-level ``x``)."""
     if not isinstance(text, str):
-        raise InvalidParameterError(f"a ring literal must be a string, got {text!r}")
+        raise InvalidParameterError(f"a ring literal must be a string, got {_clip(text)}")
     s = text.strip().replace(" ", "")
     if not s:
         raise InvalidParameterError("empty ring literal")
     parts = split_top_level(s, "x")
-    # every factor has at least two elements, so nine give at least 512
-    if len(parts) >= TABLE_CAP.bit_length():
-        raise InvalidParameterError(
-            f"a product of {len(parts)} rings has more than the supported order {TABLE_CAP} elements"
-        )
+    _check_factor_count(len(parts))   # before any factor is built
     if len(parts) > 1:
         return make_product([_parse_single_ring(p) for p in parts])
     return _parse_single_ring(parts[0])

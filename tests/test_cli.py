@@ -224,6 +224,16 @@ def test_bad_literal_exits_1(capsys, argv):
     assert "korthos: error:" in err
 
 
+@pytest.mark.parametrize("literal", [f"Z{NINES}", f"GF({NINES})", f"Z{NINES[:4000]}",
+                                     "x".join(["Z2"] * 15000)],
+                         ids=["5000-digits", "field-5000-digits", "4000-digits", "many-factors"])
+def test_oversized_literal_error_line_is_short(capsys, literal):
+    code, _, err = run(capsys, "idempotents", "--ring", literal)
+    assert code == 1
+    assert err.startswith("korthos: error:")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_missing_table_file_exits_1(capsys):
     code, _, err = run(capsys, "verify", "--table", "no/such/file.json")
     assert code == 1

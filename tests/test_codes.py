@@ -1,6 +1,10 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from korthos import (
     hamming_distance,
     identity,
     lee_distance,
+    make_galois_field,
     make_r2,
     make_zmod,
     row_anti_orthogonal_check,
@@ -27,6 +32,9 @@ from korthos import (
     systematic_from_A,
     zeros,
 )
+from korthos import _batch
+
+from helpers import ring_family
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
@@ -82,6 +90,19 @@ def test_non_systematic_generator_detected():
     code = code_from_generator(Z6, Mat.from_text(Z6, "0,3,3;4,2,4"))
     assert not code.systematic
     assert code.size == 6           # the span collapses: G is not free
+    assert code.array.shape == (6, 3)
+    assert code.sorted_words() == sorted(code.words)
+
+
+def test_membership():
+    code = code_from_generator(Z6, Mat.from_text(Z6, "0,3,3;4,2,4"))
+    assert (0, 3, 3) in code and [0, 0, 0] in code
+    assert (np.int64(0), np.int64(3), np.int64(3)) in code
+    assert (1, 0, 0) not in code
+    assert (0, 3) not in code                  # wrong length
+    assert (0, 3, 9) not in code and (0, -3, 3) not in code
+    assert (0, 3.5, 3) not in code
+    assert () in code_from_generator(Z4, Mat(Z4, 2, 0, []))
 
 
 def test_span_budget():
@@ -138,9 +159,139 @@ def test_weakly_self_dual_from_row_self_orthogonal_generator():
 
 
 def test_dual_budget():
+    # the join charges 4^4 + 4^4 half vectors, then the 256 dual words: 768
     code = systematic_from_A(OCT_A)
+    assert dual_code(code, budget=768).size == 256
     with pytest.raises(BudgetExceededError):
-        dual_code(code, budget=1000)
+        dual_code(code, budget=700)
+
+
+def test_dual_half_sweeps_over_the_budget_fail_before_any_array(monkeypatch):
+    code = systematic_from_A(OCT_A)
+
+    def refuse(*args):
+        raise AssertionError("an array was built before the budget check")
+
+    monkeypatch.setattr(_batch, "all_tuples", refuse)
+    monkeypatch.setattr(_batch, "row_keys", refuse)
+    with pytest.raises(BudgetExceededError, match="512 half vectors"):
+        dual_code(code, budget=511)
+
+
+def _sweep_dual(ring, n, rows):
+    """Every vector of R^n orthogonal to all the rows, by sweeping R^n: the
+    dual the split syndrome join replaced, kept as its reference."""
+    cands = _batch.all_tuples(ring.order, n)
+    mask = np.ones(len(cands), dtype=bool)
+    for row in rows:
+        mask &= _batch.batch_dot(ring, cands, np.asarray(row, dtype=np.uint8)) == ring.zero
+    return frozenset(map(tuple, cands[mask].tolist()))
+
+
+def _is_sorted_and_distinct(code):
+    words = code.sorted_words()
+    return words == sorted(set(words))
+
+
+RINGS = ring_family()
+
+
+@given(ring_index=st.integers(0, len(RINGS) - 1), rows=st.integers(1, 3),
+       cols=st.integers(0, 5), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dual_join_matches_the_sweep(ring_index, rows, cols, data):
+    # random generators are often not free, and 3 x 1 or 2 x 0 has more
+    # rows than columns
+    ring = RINGS[ring_index]
+    entries = data.draw(st.lists(st.integers(0, ring.order - 1),
+                                 min_size=rows * cols, max_size=rows * cols))
+    gen = Mat(ring, rows, cols, entries)
+    code = code_from_generator(ring, gen)
+    dual = dual_code(code)
+    assert dual.words == _sweep_dual(ring, cols, [gen.row(i) for i in range(rows)])
+    assert _is_sorted_and_distinct(dual)
+    assert dual.generator is None
+    if ring.order ** cols <= 1296:
+        # the generatorless path: every word of the dual is a row
+        double = dual_code(dual)
+        assert double.words == _sweep_dual(ring, cols, dual.sorted_words())
+        assert _is_sorted_and_distinct(double)
+        assert code.words <= double.words
+
+
+def _weight_distribution(code):
+    weights = (code.array != code.ring.zero).sum(axis=1)
+    return np.bincount(weights, minlength=code.length + 1).tolist()
+
+
+def _macwilliams(dist, q, size):
+    """The weight distribution W_C(x + (q-1)y, x - y) / |C| of the dual."""
+    n = len(dist) - 1
+    out = np.zeros(n + 1, dtype=object)
+    for i, count in enumerate(dist):
+        poly = np.array([1], dtype=object)
+        for factor in [[1, q - 1]] * (n - i) + [[1, -1]] * i:
+            poly = np.convolve(poly, np.array(factor, dtype=object))
+        out += count * poly
+    assert all(c % size == 0 for c in out)
+    return [int(c // size) for c in out]
+
+
+FROBENIUS = [make_zmod(4), make_zmod(6), make_galois_field(2, 2), R2, make_zmod(5)]
+Z5 = FROBENIUS[-1]
+
+
+@pytest.mark.parametrize("code", [
+    systematic_from_A(OCT_A),
+    systematic_from_A(drop_rows(OCT_A, [4])),
+    systematic_from_A(A17),
+    code_from_generator(Z6, drop_rows(A20, [3])),
+    systematic_from_A(Mat.from_text(Z5, "1,2,4,3;2,4,3,1;3,1,2,4;4,3,1,2")),
+    systematic_from_A(Mat.from_text(R2, "1+v,0,1+v;1,v,1+v;v,v,0")),
+], ids=["octacode", "octacode-drop4", "A17", "A20-drop3", "Z5-4x4", "R2-3x3"])
+def test_macwilliams_identity_on_systematic_codes(code):
+    dual = dual_code(code)
+    assert _weight_distribution(dual) == _macwilliams(
+        _weight_distribution(code), code.ring.order, code.size)
+
+
+@given(ring_index=st.integers(0, len(FROBENIUS) - 1), rows=st.integers(1, 3),
+       cols=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_macwilliams_identity_on_random_generators(ring_index, rows, cols, data):
+    # over a Frobenius ring the dual's Hamming weight enumerator is fixed by
+    # the code's (Wood 1999); no sweep is involved
+    ring = FROBENIUS[ring_index]
+    entries = data.draw(st.lists(st.integers(0, ring.order - 1),
+                                 min_size=rows * cols, max_size=rows * cols))
+    code = code_from_generator(ring, Mat(ring, rows, cols, entries))
+    dual = dual_code(code)
+    assert _weight_distribution(dual) == _macwilliams(
+        _weight_distribution(code), ring.order, code.size)
+    assert code.size * dual.size == ring.order ** cols
+
+
+SPAN_9x30 = """
+import random, resource
+from korthos import Mat, make_zmod, systematic_from_A
+Z4 = make_zmod(4)
+rng = random.Random(2021)
+a = Mat(Z4, 9, 30, [rng.randrange(4) for _ in range(9 * 30)])
+code = systematic_from_A(a)
+print(code.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_span_peak_memory():
+    # 262,144 words of length 39 are 10 MB of uint8; the span must not
+    # build a messages x k x n product tensor or a set of tuples
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", SPAN_9x30], capture_output=True,
+                          text=True, timeout=300, env={"PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    size, maxrss_kib = map(int, proc.stdout.split())
+    assert size == 4 ** 9
+    assert maxrss_kib < 150 * 1024
 
 
 def test_size_product_on_free_examples():

@@ -336,6 +336,23 @@ def test_rings_above_table_cap_are_rejected():
     assert z256.neg(1) == 255
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_product([make_zmod(2)] * 15000),
+    lambda: make_product([make_zmod(2)] * 9),
+    lambda: make_zmod(10 ** 5000),
+    lambda: parse_ring("Z" + "9" * 4000),
+    lambda: parse_ring("Z" + "9" * 5000),
+    lambda: parse_ring("GF(" + "9" * 4000 + ")"),
+    lambda: parse_ring("Q" * 5000),
+], ids=["15000-factors", "9-factors", "huge-modulus", "4000-digit-literal",
+        "5000-digit-literal", "huge-prime-literal", "long-garbage"])
+def test_oversized_rings_fail_with_a_short_message(build):
+    # the messages neither format a huge order nor echo a whole literal
+    with pytest.raises(InvalidParameterError) as exc:
+        build()
+    assert len(str(exc.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # literals, rendering, parsing
 
