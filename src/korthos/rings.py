@@ -94,19 +94,16 @@ def render_poly(coeffs):
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?x(?:\^(\d+))?$|^(\d+)$")
 
 
-CLIP = 60
-
-
-def _clip(value):
+def _clip(value, limit=32):
     """`value` as an error message echoes it: a number, or the repr of a
-    literal cut in the middle past CLIP characters; a huge int is described
-    by its bit length instead of being converted to text."""
+    literal cut in the middle past `limit` characters; a huge int is
+    described by its bit length instead of being converted to text."""
     if isinstance(value, int):
-        return f"a {value.bit_length()}-bit number" if value.bit_length() > 3 * CLIP else str(value)
+        return f"a {value.bit_length()}-bit number" if value.bit_length() > 3 * limit else str(value)
     text = repr(value)
-    if len(text) <= CLIP:
+    if len(text) <= limit:
         return text
-    return f"{text[:CLIP // 2]}...{text[-(CLIP // 2):]} ({len(text)} characters)"
+    return f"{text[:limit // 2]}...{text[-(limit // 2):]} ({len(text)} characters)"
 
 
 def _check_factor_count(count):
