@@ -150,8 +150,9 @@ def dual_code(code, budget=DEFAULT_WORD_BUDGET):
     left_keys = _batch.row_keys(_combinations(ring, rows[:, :n1].T))
     right_keys = _batch.row_keys(ring.neg_np[_combinations(ring, rows[:, n1:].T)])
     by_key = np.argsort(right_keys, kind="stable")
-    lo = np.searchsorted(right_keys[by_key], left_keys, "left")
-    cnt = np.searchsorted(right_keys[by_key], left_keys, "right") - lo
+    sorted_keys = right_keys[by_key]
+    lo = np.searchsorted(sorted_keys, left_keys, "left")
+    cnt = np.searchsorted(sorted_keys, left_keys, "right") - lo
     size = int(cnt.sum())
     if halves + size > budget:
         raise BudgetExceededError(

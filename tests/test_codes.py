@@ -32,7 +32,7 @@ from korthos import (
     systematic_from_A,
     zeros,
 )
-from korthos import _batch
+from korthos import _batch, codes
 
 from helpers import ring_family
 
@@ -172,6 +172,7 @@ def test_dual_half_sweeps_over_the_budget_fail_before_any_array(monkeypatch):
     def refuse(*args):
         raise AssertionError("an array was built before the budget check")
 
+    monkeypatch.setattr(codes, "_combinations", refuse)
     monkeypatch.setattr(_batch, "all_tuples", refuse)
     monkeypatch.setattr(_batch, "row_keys", refuse)
     with pytest.raises(BudgetExceededError, match="512 half vectors"):
@@ -282,11 +283,17 @@ print(code.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+# Linux carries the launching process's RSS high-water mark into the
+# child's ru_maxrss across exec, so the span runs under a small
+# intermediate interpreter instead of straight from the test process
+LAUNCH = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+
+
 def test_long_span_peak_memory():
     # 262,144 words of length 39 are 10 MB of uint8; the span must not
     # build a messages x k x n product tensor or a set of tuples
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", SPAN_9x30], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, SPAN_9x30], capture_output=True,
                           text=True, timeout=300, env={"PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr[-2000:]
     size, maxrss_kib = map(int, proc.stdout.split())
@@ -393,6 +400,23 @@ def test_lee_distance_restricted_to_zmod():
     report = duality_report(code)
     assert report.lee_distance is None
     assert report.hamming_distance == 1
+
+
+@given(m=st.sampled_from([4, 6, 12]), rows=st.integers(1, 3), cols=st.integers(1, 5),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_distances_match_the_word_loops(m, rows, cols, data):
+    # the per-word loops the row reductions replaced, kept as the reference
+    ring = make_zmod(m)
+    entries = data.draw(st.lists(st.integers(0, m - 1), min_size=rows * cols,
+                                 max_size=rows * cols))
+    code = code_from_generator(ring, Mat(ring, rows, cols, entries))
+    hamming = [sum(x != 0 for x in w) for w in code.words]
+    lee = [sum(min(x, m - x) for x in w) for w in code.words]
+    if code.size == 1:
+        return
+    assert hamming_distance(code) == min(h for h in hamming if h)
+    assert lee_distance(code) == min(x for x in lee if x)
 
 
 def test_trivial_code_has_no_distance():
