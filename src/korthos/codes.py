@@ -130,14 +130,40 @@ def systematic_from_A(a, budget=DEFAULT_WORD_BUDGET):
     return code_from_generator(ring, gen, budget)
 
 
+def _spanning_rows(code):
+    """Codewords that span the code, at most log2 |C| of them: each is the
+    first codeword outside the span of those before it, so each at least
+    doubles the span, and no array outgrows the code."""
+    ring, n = code.ring, code.length
+    span = np.full((1, n), ring.zero, dtype=np.uint8)
+    span_keys = _batch.row_keys(span)
+    outside = np.arange(code.size)
+    rows = []
+    while True:
+        outside = outside[_batch.lookup(span_keys, code._keys[outside]) < 0]
+        if not len(outside):
+            return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+        row = code.array[outside[0]]
+        rows.append(row)
+        # span + R*row is the union of the cosets span + x*row; keep one x per coset
+        multiples = ring.mul_np[:, row]
+        reps = multiples[:1]
+        for m in multiples[1:]:
+            differences = _batch.row_keys(ring.add_np[m, ring.neg_np[reps]])
+            if (_batch.lookup(span_keys, differences) < 0).all():
+                reps = np.concatenate([reps, m[None]])
+        span = ring.add_np[reps[:, None, :], span[None, :, :]].reshape(-1, n)
+        span_keys = np.sort(_batch.row_keys(span))
+
+
 def dual_code(code, budget=DEFAULT_WORD_BUDGET):
     """All vectors of R^n orthogonal to the code, by the split syndrome join.
 
     The rows are the generator's when the code has one (enough by
-    linearity), else every codeword.  The budget is charged for the half
-    vectors before any syndrome is formed, then for the dual words before
-    any is listed.  Left halves run in order and each meets its matching
-    right halves in order, so the words come out sorted.
+    linearity), else the codewords of `_spanning_rows`.  The budget is
+    charged for the half vectors before any syndrome is formed, then for
+    the dual words before any is listed.  Left halves run in order and each
+    meets its matching right halves in order, so the words come out sorted.
     """
     ring, n, q = code.ring, code.length, code.ring.order
     n1 = (n + 1) // 2
@@ -146,7 +172,7 @@ def dual_code(code, budget=DEFAULT_WORD_BUDGET):
         raise BudgetExceededError(
             f"dual join over {halves} half vectors exceeds the budget of {budget}"
         )
-    rows = code.array if code.generator is None else _array(code.generator)
+    rows = _spanning_rows(code) if code.generator is None else _array(code.generator)
     left_keys = _batch.row_keys(_combinations(ring, rows[:, :n1].T))
     right_keys = _batch.row_keys(ring.neg_np[_combinations(ring, rows[:, n1:].T)])
     by_key = np.argsort(right_keys, kind="stable")

@@ -230,7 +230,6 @@ def test_bad_literal_exits_1(capsys, argv):
     assert err.count("\n") == 1 and len(err) < 200
 
 
-
 def test_missing_table_file_exits_1(capsys):
     code, _, err = run(capsys, "verify", "--table", "no/such/file.json")
     assert code == 1

@@ -179,6 +179,26 @@ def test_dual_half_sweeps_over_the_budget_fail_before_any_array(monkeypatch):
         dual_code(code, budget=511)
 
 
+def test_double_dual_joins_on_spanning_rows(monkeypatch):
+    # the dual of a 7 x 9 systematic Z4 code has 4^9 words; with every word
+    # as a syndrome row the second join would need 4^8 x 4^9 bytes, so it
+    # must run on a spanning subset of at most log2(4^9) = 18 of them
+    rng = random.Random(9)
+    code = systematic_from_A(Mat(Z4, 7, 9, [rng.randrange(4) for _ in range(63)]))
+    dual = dual_code(code)
+    widths = []
+    combinations = codes._combinations
+
+    def recording(ring, rows):
+        widths.append(rows.shape[1])
+        return combinations(ring, rows)
+
+    monkeypatch.setattr(codes, "_combinations", recording)
+    double = dual_code(dual)
+    assert widths and max(widths) <= 18
+    assert np.array_equal(double.array, code.array)
+
+
 def _sweep_dual(ring, n, rows):
     """Every vector of R^n orthogonal to all the rows, by sweeping R^n: the
     dual the split syndrome join replaced, kept as its reference."""
@@ -213,7 +233,9 @@ def test_dual_join_matches_the_sweep(ring_index, rows, cols, data):
     assert _is_sorted_and_distinct(dual)
     assert dual.generator is None
     if ring.order ** cols <= 1296:
-        # the generatorless path: every word of the dual is a row
+        # the generatorless path: the join uses a spanning subset of the
+        # dual's words, the reference sweep every word
+        assert 2 ** len(codes._spanning_rows(dual)) <= dual.size
         double = dual_code(dual)
         assert double.words == _sweep_dual(ring, cols, dual.sorted_words())
         assert _is_sorted_and_distinct(double)

@@ -345,7 +345,6 @@ def test_rings_above_table_cap_are_rejected():
     assert z256.neg(1) == 255
 
 
-
 # ---------------------------------------------------------------------------
 # literals, rendering, parsing
 
