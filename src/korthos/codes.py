@@ -68,9 +68,6 @@ class LinearCode:
         the array is."""
         return _batch.row_keys(self.array)
 
-    def is_trivial(self):
-        return self.size == 1
-
     def __contains__(self, word):
         word = tuple(word)
         if len(word) != self.length or not all(

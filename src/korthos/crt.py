@@ -238,16 +238,12 @@ def gl_order_bruteforce(ring, n):
     units = ring.units()
     count = 0
     for entries in itertools.product(range(ring.order), repeat=n * n):
-        if _det_of(ring, n, entries) in units:
+        if Mat(ring, n, n, entries).det() in units:
             count += 1
     return count
 
 
-def _det_of(ring, n, entries):
-    return Mat(ring, n, n, entries).det()
-
-
-def orth_group_order(ring, n, budget=None):
+def orth_group_order(ring, n):
     """|O_n(R)| as the product of brute-force field-level counts over the
     residue fields of the ring."""
     crt_split = split(ring)

@@ -62,17 +62,6 @@ class Mat:
             rows.append([ring.parse_element(t) for t in split_top_level(chunk, ",")])
         return cls.from_rows(ring, rows)
 
-    @classmethod
-    def from_json_dict(cls, data, ring=None):
-        """Inverse of `to_json_dict`; the ring is resolved from the payload's
-        literal unless one is passed explicitly."""
-        from .rings import parse_ring
-
-        if ring is None:
-            ring = parse_ring(data["ring"])
-        entries = [ring.parse_element(t) for t in data["entries"]]
-        return cls(ring, data["rows"], data["cols"], entries)
-
     # access ------------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij
@@ -80,9 +69,6 @@ class Mat:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def is_square(self):
         return self.rows == self.cols
@@ -255,14 +241,6 @@ class OrthClass:
     @property
     def two_sided(self):
         return self.left_k and self.right_k
-
-    def to_dict(self, ring=None):
-        return {
-            "k": ring.render(self.k) if ring is not None else self.k,
-            "left": self.left_k,
-            "right": self.right_k,
-            "two_sided": self.two_sided,
-        }
 
 
 def _array(a):

@@ -16,14 +16,15 @@ there.  Each kind builds its addition and multiplication tables from its
 structure in whole-array numpy operations (residues, polynomial convolution,
 gathers from the base or component tables); negation is read off the
 addition table.  These arrays are the only tables: the scalar methods and
-the vectorized ops in ``_batch`` index the same ones.  Ring axioms are verified
-exhaustively at construction for order <= 64 (pass ``verify=True`` to force
-the check on larger rings, ``verify=False`` to skip it).
+the vectorized ops in ``_batch`` index the same ones.  A ring is nothing
+more than these tables: they come from the ring's structure, so the axioms
+hold by construction, and the tests check every builder against the
+textbook operations.  Z_p[x]/(m) is a field exactly when m is irreducible,
+so ``GF(p, r)`` rejects a modulus whose tables have a zero divisor.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -36,7 +37,6 @@ from .errors import (
 )
 
 TABLE_CAP = 256
-VERIFY_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +61,6 @@ def _poly_mod(p, a, m):
                 a[shift + i] = (a[shift + i] - lead * m[i]) % p
         a.pop()
     return _poly_trim(a)
-
-
-def _poly_is_irreducible(p, m):
-    """Exhaustive factor check: no monic divisor of degree 1 .. deg(m)//2."""
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tail + (1,)
-            if not _poly_mod(p, m, g):
-                return False
-    return True
 
 
 def render_poly(coeffs):
@@ -187,7 +174,7 @@ class Ring:
 
     kind = "abstract"
 
-    def __init__(self, order, verify=None):
+    def __init__(self, order):
         if order < 2:
             raise InvalidParameterError("ring must have at least two elements")
         if order > TABLE_CAP:
@@ -209,10 +196,6 @@ class Ring:
             acc = self.add(acc, self.one)
             c += 1
         self.char = c
-        self.laws_verified = False
-        if verify or (verify is None and order <= VERIFY_CAP):
-            self._verify_axioms()
-            self.laws_verified = True
 
     # subclass surface ------------------------------------------------------
     zero = 0
@@ -289,35 +272,6 @@ class Ring:
         the zero divisors."""
         return self.order - len(self.units()) - 1
 
-    # axiom verification ----------------------------------------------------
-    def _verify_axioms(self):
-        n = self.order
-        add = self.add_np.astype(np.int64)
-        mul = self.mul_np.astype(np.int64)
-
-        def fail(law):
-            raise InvariantViolationError(f"{self.literal}: {law} fails")
-
-        if not (add == add.T).all():
-            fail("additive commutativity")
-        if not (mul == mul.T).all():
-            fail("multiplicative commutativity")
-        i = np.arange(n)
-        if not (add[self.zero] == i).all():
-            fail("additive identity")
-        if not (mul[self.one] == i).all():
-            fail("multiplicative identity")
-        # associativity and distributivity on all triples
-        a = i[:, None, None]
-        b = i[None, :, None]
-        c = i[None, None, :]
-        if not (add[add[a, b], c] == add[a, add[b, c]]).all():
-            fail("additive associativity")
-        if not (mul[mul[a, b], c] == mul[a, mul[b, c]]).all():
-            fail("multiplicative associativity")
-        if not (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all():
-            fail("distributivity")
-
     # housekeeping ----------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -336,11 +290,11 @@ class ZmodRing(Ring):
 
     kind = "zmod"
 
-    def __init__(self, n, verify=None):
+    def __init__(self, n):
         if not isinstance(n, int) or n < 2:
             raise InvalidParameterError("modulus must be an integer >= 2")
         self.n = n
-        super().__init__(n, verify=verify)
+        super().__init__(n)
 
     def _tables(self):
         i = np.arange(self.n)
@@ -367,7 +321,7 @@ class GaloisFieldRing(Ring):
 
     kind = "field"
 
-    def __init__(self, p, r, modulus=None, verify=None):
+    def __init__(self, p, r, modulus=None):
         if not isinstance(r, int) or r < 1:
             raise InvalidParameterError("extension degree must be >= 1")
         # p >= 2 and r >= 9 give p^r >= 512, so p**r is only formed for r <= 8
@@ -395,10 +349,11 @@ class GaloisFieldRing(Ring):
             raise InvalidParameterError(
                 f"modulus must be monic of degree {r}, got {render_poly(modulus)}"
             )
-        if r > 1 and not _poly_is_irreducible(p, modulus):
-            raise InvalidParameterError(f"{render_poly(modulus)} is reducible over Z{p}")
         self.modulus = modulus
-        super().__init__(p ** r, verify=verify)
+        super().__init__(p ** r)
+        # Z_p[x]/(m) is a field exactly when m is irreducible
+        if not self.is_field():
+            raise InvalidParameterError(f"{render_poly(modulus)} is reducible over Z{p}")
 
     # coefficient vector <-> index
     def coeffs(self, a):
@@ -458,7 +413,7 @@ class VExtensionRing(Ring):
 
     kind = "vext"
 
-    def __init__(self, base, v_square, verify=None):
+    def __init__(self, base, v_square):
         if not isinstance(base, GaloisFieldRing):
             raise InvalidParameterError("v-extension base must be a Galois field")
         v_square = str(v_square)
@@ -471,7 +426,7 @@ class VExtensionRing(Ring):
         self.base = base
         self.v_square = v_square
         self.q = base.order
-        super().__init__(self.q * self.q, verify=verify)
+        super().__init__(self.q * self.q)
 
     def components(self, e):
         """(a, b) with e = a + v*b, both as base-field indices."""
@@ -531,10 +486,10 @@ class VExtensionRing(Ring):
         if s.startswith("v"):
             head, tail = "", s[1:]
         else:
-            cut = _find_top_level(s, "+v")
-            if cut < 0:
+            parts = split_top_level(s, "+v")
+            if len(parts) != 2:
                 raise InvalidParameterError(f"cannot parse {_clip(s)} as an element of {self.literal}")
-            head, tail = s[:cut], s[cut + 2:]
+            head, tail = parts
         a = F.parse_element(head) if head else F.zero
         if tail == "":
             b = F.one
@@ -550,7 +505,7 @@ class ProductRing(Ring):
 
     kind = "product"
 
-    def __init__(self, components, verify=None):
+    def __init__(self, components):
         components = list(components)
         if not components:
             raise InvalidParameterError("product ring needs at least one component")
@@ -561,7 +516,7 @@ class ProductRing(Ring):
         order = 1
         for c in components:
             order *= c.order
-        super().__init__(order, verify=verify)
+        super().__init__(order)
 
     def components(self, e):
         out = []
@@ -624,25 +579,25 @@ class ProductRing(Ring):
 # ---------------------------------------------------------------------------
 # constructors (the stable public surface)
 
-def make_zmod(n, verify=None):
-    return ZmodRing(n, verify=verify)
+def make_zmod(n):
+    return ZmodRing(n)
 
 
-def make_galois_field(p, r=1, modulus=None, verify=None):
-    return GaloisFieldRing(p, r, modulus=modulus, verify=verify)
+def make_galois_field(p, r=1, modulus=None):
+    return GaloisFieldRing(p, r, modulus=modulus)
 
 
-def make_v_extension(base, v_square, verify=None):
-    return VExtensionRing(base, v_square, verify=verify)
+def make_v_extension(base, v_square):
+    return VExtensionRing(base, v_square)
 
 
-def make_product(components, verify=None):
-    return ProductRing(components, verify=verify)
+def make_product(components):
+    return ProductRing(components)
 
 
-def make_r2(verify=None):
+def make_r2():
     """The Boolean quaternary ring GF(2)+vGF(2) with v*v = v."""
-    return make_v_extension(make_galois_field(2, 1), "v", verify=verify)
+    return make_v_extension(make_galois_field(2, 1), "v")
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +620,6 @@ def split_top_level(s, sep):
         i += 1
     parts.append(s[start:])
     return parts
-
-
-def _find_top_level(s, sub):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif depth == 0 and s.startswith(sub, i):
-            return i
-    return -1
 
 
 _ZMOD_RE = re.compile(r"^Z(\d+)$")

@@ -43,7 +43,7 @@ from .errors import (
     NotApplicableError,
 )
 from .matrices import Mat, identity
-from .rings import Ring, VExtensionRing
+from .rings import Ring, VExtensionRing, _clip
 
 DEFAULT_BUDGET = 10 ** 8
 NAIVE_CAP = 262_144
@@ -86,9 +86,10 @@ class _NodeCounter:
         self.spent += nodes
         self.profile[stage] += nodes
         if self.spent > self.limit:
-            reached = ", ".join(f"{s} {c}" for s, c in self.profile.items())
-            raise BudgetExceededError(f"search exceeded the node budget of {self.limit} "
-                                      f"({self.spent} nodes counted): {reached}", self.profile)
+            reached = ", ".join(f"{s} {_clip(c)}" for s, c in self.profile.items())
+            raise BudgetExceededError(f"search exceeded the node budget of {_clip(self.limit)} "
+                                      f"({_clip(self.spent)} nodes counted): {reached}",
+                                      self.profile)
 
 
 def _mats(ring, n, arr):
@@ -177,6 +178,9 @@ def _search(ring, n, k, limit, two_sided=False):
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
     ring.check_element(k)
+    if n >= limit.bit_length():   # then |R|^n >= 2^n > limit candidates
+        raise BudgetExceededError(f"the {ring.order}^{_clip(n)} candidate columns exceed "
+                                  f"the node budget of {_clip(limit)}")
     counter = _NodeCounter(limit, n)
     cands = _column_candidates(ring, n, k, counter)
     m = len(cands)
@@ -275,26 +279,25 @@ def _naive_grams(ring, n):
     return _GRAM_CACHE[key]
 
 
-def enumerate_naive(ring, n, k, side="left", cap=NAIVE_CAP):
+def enumerate_naive(ring, n, k, side="left"):
     """Direct |R|^(n*n) sweep testing every matrix against the definition.
 
     Independent of the pruned search; used as its oracle and for counting
     orthogonal groups over residue fields.  The sweep runs in lexicographic
     order, so the matrices come out in canonical order.
     """
-    return _mats(ring, n, _naive_array(ring, n, k, side, cap))
+    return _mats(ring, n, _naive_array(ring, n, k, side))
 
 
-def _naive_array(ring, n, k, side="left", cap=NAIVE_CAP):
+def _naive_array(ring, n, k, side="left"):
     """`enumerate_naive` as an (m, n, n) index array."""
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
     ring.check_element(k)
     side = normalize_side(side)
-    total = ring.order ** (n * n)
-    if total > cap:
+    if n * n >= NAIVE_CAP.bit_length() or ring.order ** (n * n) > NAIVE_CAP:
         raise BudgetExceededError(
-            f"naive sweep of {total} matrices exceeds the cap of {cap}"
+            f"naive sweep of {ring.order}^{_clip(n * n)} matrices exceeds the cap of {NAIVE_CAP}"
         )
     mats, col_gram, row_gram = _naive_grams(ring, n)
     target = np.full((n, n), ring.zero, dtype=col_gram.dtype)

@@ -219,9 +219,15 @@ NINES = "9" * 5000
     ("idempotents", "--ring", f"Z{NINES[:4000]}"),
     ("idempotents", "--ring", f"GF({NINES})"),
     ("idempotents", "--ring", f"GF({NINES[:4000]})"),
+    ("census", "--ring", "Z6", "--n", "6000"),
+    ("census", "--ring", "Z6", "--n", "5000", "--k", "0"),
+    ("tables", "--ring", "Z6", "--n", str(10 ** 7)),
+    ("antiortho", "--ring", "Z6", "--n", str(10 ** 20)),
+    ("crt", "--ring", "Z6", "--n", "6000", "--k", "0", "--verify"),
 ], ids=["zmod-digits", "modulus-digits", "field-element", "matrix-entry",
         "huge-prime", "huge-degree", "many-factors", "zmod-4000-digits",
-        "prime-digits", "prime-4000-digits"])
+        "prime-digits", "prime-4000-digits", "census-n-6000", "census-n-5000",
+        "tables-n-1e7", "antiortho-n-1e20", "crt-n-6000"])
 def test_bad_literal_exits_1(capsys, argv):
     # one short error line: the message never echoes a whole literal
     code, _, err = run(capsys, *argv)

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from korthos import (
@@ -54,10 +57,41 @@ def test_gf4_every_nonzero_element_is_a_unit():
     assert f4.is_field()
 
 
+def _is_irreducible(p, m):
+    """Trial division of the monic m (constant term first) by every monic
+    polynomial of degree 1 .. deg(m)//2 over Z_p."""
+    deg = len(m) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            rem = list(m)
+            for top in range(deg, d - 1, -1):   # g = tail + x^d is monic
+                lead = rem[top]
+                for i, c in enumerate(tail + (1,)):
+                    rem[top - d + i] = (rem[top - d + i] - lead * c) % p
+            if not any(rem[:d]):
+                return False
+    return True
+
+
 def test_reducible_modulus_rejected():
     # x^2+1 = (x+1)^2 over GF(2)
     with pytest.raises(InvalidParameterError):
         make_galois_field(2, 2, "x^2+1")
+    # x^4+x^2+1 = (x^2+x+1)^2 over GF(2) has no root, but is reducible
+    assert not _is_irreducible(2, (1, 0, 1, 0, 1))
+    with pytest.raises(InvalidParameterError, match="reducible"):
+        make_galois_field(2, 4, "x^4+x^2+1")
+    # every monic modulus with p^r <= 81 builds a field exactly when irreducible
+    primes = [p for p in range(2, 82) if all(p % d for d in range(2, p))]
+    for p, r in ((p, r) for p in primes for r in range(1, 7) if p ** r <= 81):
+        for tail in itertools.product(range(p), repeat=r):
+            modulus = tail + (1,)
+            try:
+                make_galois_field(p, r, modulus)
+                built = True
+            except InvalidParameterError:
+                built = False
+            assert built == _is_irreducible(p, modulus), (p, modulus)
 
 
 def test_nonprime_p_rejected():
@@ -284,9 +318,11 @@ def _reference_ops(ring):
     return componentwise(0), componentwise(1), componentwise(2)
 
 
+EXTRA_RINGS = ["GF(2,5)", "GF(7,2)", "Z256", "GF(3)+vGF(3)[v2=1]", "Z6xZ4"]
+
+
 def test_tables_match_the_scalar_definitions():
-    extra = ["GF(2,5)", "GF(7,2)", "Z256", "GF(3)+vGF(3)[v2=1]", "Z6xZ4"]
-    for ring in ring_family() + [parse_ring(t) for t in extra]:
+    for ring in ring_family() + [parse_ring(t) for t in EXTRA_RINGS]:
         add, mul, neg = _reference_ops(ring)
         els = ring.elements()
         assert ring.add_np.tolist() == [[add(a, b) for b in els] for a in els], ring.literal
@@ -302,25 +338,24 @@ def test_addition_table_without_a_zero_in_a_row_is_rejected():
             return add, mul
 
     with pytest.raises(InvariantViolationError, match="additive inverses"):
-        NoInverse(3, verify=False)
+        NoInverse(3)
 
 
 # ---------------------------------------------------------------------------
 # ring axioms
 
-def test_laws_verified_at_desk_scale():
-    for ring in ring_family():
-        if ring.order <= 64:
-            assert ring.laws_verified
-
-
-def test_verify_flag_forces_check_on_larger_rings():
-    big = make_zmod(101, verify=True)
-    assert big.laws_verified
-    lazy = make_zmod(101)
-    assert not lazy.laws_verified
-    skipped = make_zmod(6, verify=False)
-    assert not skipped.laws_verified
+def test_tables_satisfy_the_ring_axioms():
+    rings = ring_family() + [parse_ring(t) for t in EXTRA_RINGS]
+    for ring in (r for r in rings if r.order <= 64):
+        add, mul = ring.add_np.astype(np.intp), ring.mul_np.astype(np.intp)
+        i = np.arange(ring.order)
+        a, b, c = i[:, None, None], i[None, :, None], i[None, None, :]
+        assert (add == add.T).all() and (mul == mul.T).all(), ring.literal
+        assert (add[ring.zero] == i).all() and (mul[ring.one] == i).all(), ring.literal
+        assert (add[i, ring.neg_np] == ring.zero).all(), ring.literal
+        assert (add[add[a, b], c] == add[a, add[b, c]]).all(), ring.literal
+        assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all(), ring.literal
+        assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all(), ring.literal
 
 
 def test_rings_above_table_cap_are_rejected():

@@ -622,6 +622,20 @@ def test_budget_error_carries_the_profile_per_stage():
                                  "depth 2": 0, "depth 3": 0}
 
 
+def test_huge_degree_is_refused_before_any_sweep():
+    # n >= the budget's bit length proves |R|^n candidates over the budget,
+    # so nothing is counted or formed; a message never formats a huge number
+    for call in (lambda: count_semigroup(Z6, 10 ** 20, 0),
+                 lambda: antiorthogonal_exists(Z6, 10 ** 7),
+                 lambda: enumerate_naive(Z6, 10 ** 20, 0)):
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert len(str(err.value)) < 200
+    # 6^6000 has more than 4,300 digits
+    with pytest.raises(BudgetExceededError, match="a 15510-bit number nodes counted"):
+        count_semigroup(Z6, 6000, 0, budget=10 ** 4000)
+
+
 def test_oversize_walk_fails_with_bounded_memory():
     # Z256 at n = 3 has 4,096 candidates and ~10^8 nodes; the walk must hit
     # the budget without buffering what it has walked
