@@ -1,20 +1,27 @@
 """Vectorized arithmetic on numpy arrays of ring element indices.
 
 Every ring is table-backed, so element indices fit in ``uint8``; the
-functions operate on arrays whose values are element indices.  The search,
-the censuses, the orthogonality predicates, closure, the CRT bijection, code
-spans and dual joins all run here.  `gram_is_scalar` is the one Gram test
-behind every k-orthogonality check.
+functions operate on arrays whose values are element indices.  This is the
+one place that does matrix arithmetic over a ring: `Mat` products, sums and
+determinants, the search, the censuses, the orthogonality predicates,
+closure, the CRT bijection, the GL sweep, code spans and dual joins all run
+here.  `gram_is_scalar` is the one Gram test behind every k-orthogonality
+check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from .errors import SizeCapError
+
 # entries of the widest temporary a chunked batch op builds
 CHUNK = 1 << 22
+# largest n whose n! permutations `det` sums
+DET_CAP = 6
 
 
 def chunks(total, width):
@@ -54,6 +61,21 @@ def batch_matmul(ring, a, b):
 def batch_dot(ring, u, v):
     """Inner products along the last axis, broadcasting on the rest."""
     return fold_add(ring, ring.mul_np[u, v])
+
+
+def det(ring, a):
+    """Determinants of a (..., n, n) array by the Leibniz formula: the ring
+    sum over the permutations s of sign(s) * prod_i a[i, s(i)]."""
+    n = a.shape[-1]
+    if n > DET_CAP:
+        raise SizeCapError(f"determinant capped at {DET_CAP}x{DET_CAP}")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    odd = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    terms = a[..., np.arange(n), perms]          # (..., n!, n)
+    prod = np.full(terms.shape[:-1], ring.one, dtype=np.uint8)
+    for j in range(n):
+        prod = ring.mul_np[prod, terms[..., j]]
+    return fold_add(ring, np.where(odd, ring.neg_np[prod], prod))
 
 
 def gram_is_scalar(ring, vecs, k):

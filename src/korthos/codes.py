@@ -29,7 +29,7 @@ from .errors import (
     NotApplicableError,
     UndefinedDistanceError,
 )
-from .matrices import Mat, _array, _gram_is, hstack, identity
+from .matrices import Mat, _array, _gram_is, _mat, hstack, identity
 from .rings import Ring, ZmodRing
 
 DEFAULT_WORD_BUDGET = 10 ** 6
@@ -268,8 +268,7 @@ def duality_report(code, budget=DEFAULT_WORD_BUDGET):
         # G G^T straight from the entries: a length-0 code has no G^T
         g = _array(code.generator)
         gram = _batch.batch_matmul(code.ring, g, g.T)
-        gram_nonsingular = code.ring.is_unit(
-            Mat(code.ring, len(gram), len(gram), gram.ravel().tolist()).det())
+        gram_nonsingular = code.ring.is_unit(int(_batch.det(code.ring, gram)))
     try:
         hd = hamming_distance(code)
     except UndefinedDistanceError:
@@ -299,5 +298,4 @@ def drop_rows(mat, rows_1based):
     keep = [i for i in range(mat.rows) if i + 1 not in drop]
     if not keep:
         raise InvalidParameterError("cannot drop every row")
-    return Mat(mat.ring, len(keep), mat.cols,
-               [e for i in keep for e in mat.row(i)])
+    return _mat(mat.ring, _array(mat)[keep])

@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolationError,
     NotSplittableError,
 )
-from .matrices import Mat
+from .matrices import _array, _mat
 from .rings import (
     GaloisFieldRing,
     ProductRing,
@@ -36,7 +36,7 @@ from .rings import (
     ZmodRing,
     make_zmod,
 )
-from .search import _naive_array, enumerate_semigroup, normalize_side
+from .search import _check_sweep, _naive_array, enumerate_semigroup, normalize_side
 
 
 def _prime_power_factors(n):
@@ -155,9 +155,8 @@ def map_matrix(crt_split, mat):
     """Entrywise forward image of a matrix, one factor matrix per component."""
     if mat.ring != crt_split.source:
         raise InvalidParameterError("matrix is not over the split's source ring")
-    images = crt_split.forward_np[list(mat.entries)]
-    return tuple(Mat(factor, mat.rows, mat.cols, images[:, j].tolist())
-                 for j, factor in enumerate(crt_split.factors))
+    images = crt_split.forward_np[_array(mat)]
+    return tuple(_mat(factor, images[..., j]) for j, factor in enumerate(crt_split.factors))
 
 
 def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
@@ -233,14 +232,11 @@ def gl_order(q, n):
 def gl_order_bruteforce(ring, n):
     """Count invertible matrices by sweeping all of M_n(R) and testing the
     determinant; the independent check for the GL order formula."""
-    import itertools
-
-    units = ring.units()
-    count = 0
-    for entries in itertools.product(range(ring.order), repeat=n * n):
-        if Mat(ring, n, n, entries).det() in units:
-            count += 1
-    return count
+    _check_sweep(ring, n)
+    mats = _batch.all_tuples(ring.order, n * n).reshape(-1, n, n)
+    is_unit = (ring.mul_np == ring.one).any(axis=1)
+    return sum(int(is_unit[_batch.det(ring, mats[part])].sum())
+               for part in _batch.chunks(len(mats), math.factorial(n) * n))
 
 
 def orth_group_order(ring, n):

@@ -3,8 +3,11 @@
 Matrices are immutable value types: every operation returns a fresh matrix.
 Entries are stored row-major as ring element indices.  `Mat` is the
 one-matrix view of the public API; censuses are held as index arrays (see
-`search`), and every k-orthogonality test, here and in `codes`, runs through
-the one numpy Gram kernel `_batch.gram_is_scalar`.
+`search`).  Every matrix operation -- product, sum, negation, scaling and
+the determinant -- reads the ring tables through `_batch` on the matrix's
+index array (`_array`, turned back into a `Mat` by `_mat`), and every
+k-orthogonality test, here and in `codes`, runs through the one numpy Gram
+kernel `_batch.gram_is_scalar`.
 """
 
 from __future__ import annotations
@@ -14,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .errors import (
-    DimensionMismatchError,
-    RingMismatchError,
-    SizeCapError,
-)
+from .errors import DimensionMismatchError, RingMismatchError
 from .rings import split_top_level
-
-DET_CAP = 6
 
 
 class Mat:
@@ -94,10 +91,7 @@ class Mat:
             )
 
     def transpose(self):
-        e = self.entries
-        c = self.cols
-        return Mat(self.ring, c, self.rows,
-                   [e[i * c + j] for j in range(c) for i in range(self.rows)])
+        return _mat(self.ring, _array(self).T)
 
     def mul(self, other):
         self._require_same_ring(other)
@@ -105,19 +99,7 @@ class Mat:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        R = self.ring
-        add, mul = R.add, R.mul
-        a, b = self.entries, other.entries
-        n, m, p = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            for j in range(p):
-                acc = R.zero
-                for t in range(m):
-                    acc = add(acc, mul(arow[t], b[t * p + j]))
-                out.append(acc)
-        return Mat(R, n, p, out)
+        return _mat(self.ring, _batch.batch_matmul(self.ring, _array(self), _array(other)))
 
     __matmul__ = mul
 
@@ -125,29 +107,22 @@ class Mat:
         self._require_same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in matrix addition")
-        R = self.ring
-        return Mat(R, self.rows, self.cols,
-                   [R.add(x, y) for x, y in zip(self.entries, other.entries)])
+        return _mat(self.ring, self.ring.add_np[_array(self), _array(other)])
 
     __add__ = add
 
     def neg(self):
-        R = self.ring
-        return Mat(R, self.rows, self.cols, [R.neg(x) for x in self.entries])
+        return _mat(self.ring, self.ring.neg_np[_array(self)])
 
     def scale(self, k):
-        R = self.ring
-        R.check_element(k)
-        return Mat(R, self.rows, self.cols, [R.mul(k, x) for x in self.entries])
+        self.ring.check_element(k)
+        return _mat(self.ring, self.ring.mul_np[k, _array(self)])
 
     def det(self):
+        """Determinant, for square matrices up to `_batch.DET_CAP` rows."""
         if not self.is_square():
             raise DimensionMismatchError("determinant of a non-square matrix")
-        n = self.rows
-        if n > DET_CAP:
-            raise SizeCapError(f"determinant capped at {DET_CAP}x{DET_CAP}")
-        R = self.ring
-        return _det_rec(R, [list(self.row(i)) for i in range(n)])
+        return int(_batch.det(self.ring, _array(self)))
 
     def is_invertible(self):
         return self.ring.is_unit(self.det())
@@ -172,23 +147,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.ring.literal}, {self.to_text()!r})"
-
-
-def _det_rec(R, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return R.sub(R.mul(rows[0][0], rows[1][1]), R.mul(rows[0][1], rows[1][0]))
-    acc = R.zero
-    rest = rows[1:]
-    for j, a in enumerate(rows[0]):
-        if a == R.zero:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rest]
-        term = R.mul(a, _det_rec(R, minor))
-        acc = R.add(acc, term if j % 2 == 0 else R.neg(term))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +178,7 @@ def hstack(a, b):
     a._require_same_ring(b)
     if a.rows != b.rows:
         raise DimensionMismatchError("hstack needs equal row counts")
-    out = []
-    for i in range(a.rows):
-        out.extend(a.row(i))
-        out.extend(b.row(i))
-    return Mat(a.ring, a.rows, a.cols + b.cols, out)
+    return _mat(a.ring, np.hstack([_array(a), _array(b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +200,11 @@ class OrthClass:
 def _array(a):
     """The entries of `a` as a (rows, cols) uint8 index array."""
     return np.array(a.entries, dtype=np.uint8).reshape(a.rows, a.cols)
+
+
+def _mat(ring, arr):
+    """The `Mat` view of a (rows, cols) index array; `_array` inverts it."""
+    return Mat(ring, *arr.shape, arr.ravel().tolist())
 
 
 def _gram_is(a, k, columns=False):
@@ -279,8 +238,11 @@ def find_k(a):
     """If A^T A or A A^T is a scalar matrix k*I, return (k, OrthClass); else None."""
     if not a.is_square():
         raise DimensionMismatchError("find_k is defined for square matrices")
-    for gram in (a.transpose().mul(a), a.mul(a.transpose())):
-        k = gram[0, 0]
-        if gram == scalar_mat(a.ring, k, a.rows):
-            return k, classify_k_orthogonal(a, k)
+    x = _array(a)
+    grams = _batch.batch_matmul(a.ring, np.stack([x.T, x]), np.stack([x, x.T]))
+    for gram in grams:                            # A^T A, then A A^T
+        k = int(gram[0, 0])
+        scalar = (grams == _array(scalar_mat(a.ring, k, a.rows))).all(axis=(1, 2))
+        if scalar.any():
+            return k, OrthClass(k, *scalar.tolist())
     return None

@@ -262,7 +262,7 @@ class Ring:
 
     def idempotents(self):
         """Ascending list of all e with e*e = e.  Always contains 0 and 1."""
-        return [e for e in self.elements() if self.mul(e, e) == e]
+        return np.flatnonzero(np.diagonal(self.mul_np) == np.arange(self.order)).tolist()
 
     def is_field(self):
         return len(self.units()) == self.order - 1

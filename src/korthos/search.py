@@ -42,7 +42,7 @@ from .errors import (
     InvariantViolationError,
     NotApplicableError,
 )
-from .matrices import Mat, identity
+from .matrices import Mat, _mat, identity
 from .rings import Ring, VExtensionRing, _clip
 
 DEFAULT_BUDGET = 10 ** 8
@@ -92,11 +92,6 @@ class _NodeCounter:
                                       self.profile)
 
 
-def _mats(ring, n, arr):
-    """Mat views of an (m, n, n) index array, in its order."""
-    return [Mat(ring, n, n, e) for e in arr.reshape(-1, n * n).tolist()]
-
-
 @dataclass(eq=False)
 class SemigroupCensus:
     """The full element set of LO/RO/O_n(k, R) plus verification metadata.
@@ -142,7 +137,7 @@ class SemigroupCensus:
 
     @cached_property
     def elements(self):
-        return _mats(self.ring, self.n, self.array)
+        return [_mat(self.ring, a) for a in self.array]
 
     @property
     def _keys(self):
@@ -165,10 +160,22 @@ class SemigroupCensus:
 # pruned search: a blocked, depth-first frontier over the orthogonality graph
 
 def _column_candidates(ring, n, k, counter):
-    """All vectors c in R^n with <c, c> = k, as an (m, n) index array."""
-    counter.spend(ring.order ** n, "candidates")
-    vecs = _batch.all_tuples(ring.order, n)
-    return vecs[_batch.gram_is_scalar(ring, vecs[:, None, :], k)]
+    """All vectors c in R^n with <c, c> = k, as an (m, n) index array in
+    lexicographic order.  The |R|^n vectors are formed from their indices
+    and filtered in pieces, and the pairs of the survivors are charged as
+    they are found, so the budget bounds the memory as well as the nodes."""
+    total = ring.order ** n
+    counter.spend(total, "candidates")
+    found, m = [], 0
+    for part in _batch.chunks(total, 8 * n):      # int64 digits of each index
+        index = np.arange(part.start, min(part.stop, total))
+        vecs = np.stack(np.unravel_index(index, (ring.order,) * n), axis=-1).astype(np.uint8)
+        keep = vecs[_batch.gram_is_scalar(ring, vecs[:, None, :], k)]
+        grown = m + len(keep)
+        counter.spend(grown * (grown + 1) // 2 - m * (m + 1) // 2, "pairs")
+        found.append(keep)
+        m = grown
+    return np.concatenate(found)
 
 
 def _search(ring, n, k, limit, two_sided=False):
@@ -182,9 +189,8 @@ def _search(ring, n, k, limit, two_sided=False):
         raise BudgetExceededError(f"the {ring.order}^{_clip(n)} candidate columns exceed "
                                   f"the node budget of {_clip(limit)}")
     counter = _NodeCounter(limit, n)
-    cands = _column_candidates(ring, n, k, counter)
+    cands = _column_candidates(ring, n, k, counter)   # charges the pairs too
     m = len(cands)
-    counter.spend(m * (m + 1) // 2, "pairs")
     adj = np.empty((m, m), dtype=bool)
     for part in _batch.chunks(m, m * n):
         adj[part] = _batch.batch_dot(ring, cands[part, None, :], cands[None, :, :]) == ring.zero
@@ -286,19 +292,25 @@ def enumerate_naive(ring, n, k, side="left"):
     orthogonal groups over residue fields.  The sweep runs in lexicographic
     order, so the matrices come out in canonical order.
     """
-    return _mats(ring, n, _naive_array(ring, n, k, side))
+    return [_mat(ring, a) for a in _naive_array(ring, n, k, side)]
 
 
-def _naive_array(ring, n, k, side="left"):
-    """`enumerate_naive` as an (m, n, n) index array."""
+def _check_sweep(ring, n):
+    """Refuse a sweep of the |R|^(n*n) matrices of M_n(R) for n < 1 or over
+    NAIVE_CAP matrices, before anything is formed."""
     if n < 1:
         raise InvalidParameterError("degree n must be >= 1")
-    ring.check_element(k)
-    side = normalize_side(side)
     if n * n >= NAIVE_CAP.bit_length() or ring.order ** (n * n) > NAIVE_CAP:
         raise BudgetExceededError(
             f"naive sweep of {ring.order}^{_clip(n * n)} matrices exceeds the cap of {NAIVE_CAP}"
         )
+
+
+def _naive_array(ring, n, k, side="left"):
+    """`enumerate_naive` as an (m, n, n) index array."""
+    _check_sweep(ring, n)
+    ring.check_element(k)
+    side = normalize_side(side)
     mats, col_gram, row_gram = _naive_grams(ring, n)
     target = np.full((n, n), ring.zero, dtype=col_gram.dtype)
     np.fill_diagonal(target, k)
@@ -384,7 +396,7 @@ def verify_group(census):
               and (_batch.lookup(census._keys,
                                  _batch.row_keys(transposes.reshape(-1, n * n))) >= 0).all())
     census.checks["is_group"] = ok
-    witnesses = dict(zip(census.elements, _mats(ring, n, transposes))) if ok else {}
+    witnesses = dict(zip(census.elements, (_mat(ring, a) for a in transposes))) if ok else {}
     return {"is_group": ok, "identity": ident, "inverse_witnesses": witnesses}
 
 
@@ -479,4 +491,4 @@ def _antiorthogonal_search(ring, n, budget=None):
         # a (-1)-orthogonal matrix is invertible, so one-sidedness
         # cannot happen; treat it as a search bug
         raise InvariantViolationError("left antiorthogonal witness was not right antiorthogonal")
-    return _mats(ring, n, a)[0], counter.spent
+    return _mat(ring, a), counter.spent

@@ -1,10 +1,11 @@
-"""Shared fixtures and batched sweep utilities for the test suite."""
+"""Shared fixtures, batched sweep utilities and scalar references for the
+test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from korthos import _batch
+from korthos import Mat, _batch
 from korthos.rings import (
     make_galois_field,
     make_product,
@@ -61,3 +62,38 @@ def batched_words(ring, gens):
     k = gens.shape[-2]
     u = _batch.all_tuples(ring.order, k)           # (M, k)
     return _batch.batch_matmul(ring, u[None, :, :], gens)
+
+
+# ---------------------------------------------------------------------------
+# scalar references: element by element through Ring.add/mul/neg, no _batch
+
+def scalar_matmul(a, b):
+    """A B by the triple loop over `Ring.add` and `Ring.mul`."""
+    R = a.ring
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = R.zero
+            for t in range(a.cols):
+                acc = R.add(acc, R.mul(a[i, t], b[t, j]))
+            out.append(acc)
+    return Mat(R, a.rows, b.cols, out)
+
+
+def det_rec(R, rows):
+    """Determinant of a list of rows by cofactor expansion along the first
+    row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return R.sub(R.mul(rows[0][0], rows[1][1]), R.mul(rows[0][1], rows[1][0]))
+    acc = R.zero
+    rest = rows[1:]
+    for j, a in enumerate(rows[0]):
+        if a == R.zero:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rest]
+        term = R.mul(a, det_rec(R, minor))
+        acc = R.add(acc, term if j % 2 == 0 else R.neg(term))
+    return acc

@@ -14,6 +14,7 @@ from korthos import (
     InvalidParameterError,
     Mat,
     NotApplicableError,
+    SizeCapError,
     UndefinedDistanceError,
     anti_orthogonal_check,
     code_from_generator,
@@ -34,7 +35,7 @@ from korthos import (
 )
 from korthos import _batch, codes
 
-from helpers import ring_family
+from helpers import ring_family, scalar_matmul
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
@@ -379,14 +380,14 @@ def test_row_self_orthogonal():
 @given(rows=st.integers(1, 3), cols=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_predicates_match_matrix_products(rows, cols, data):
-    # the numpy Gram kernel against G G^T (and G^T G) from Mat.mul
+    # the numpy Gram kernel against G G^T (and G^T G) from the scalar product
     g = Mat(Z6, rows, cols, data.draw(st.lists(st.integers(0, 5), min_size=rows * cols,
                                                max_size=rows * cols)))
-    gram = g.mul(g.transpose())
+    gram = scalar_matmul(g, g.transpose())
     assert row_self_orthogonal_check(g) == (gram == zeros(Z6, rows))
     assert row_anti_orthogonal_check(g) == (gram == identity(Z6, rows).neg())
     if rows == cols:
-        cogram = g.transpose().mul(g)
+        cogram = scalar_matmul(g.transpose(), g)
         assert self_orthogonal_check(g) == (cogram == zeros(Z6, rows), gram == zeros(Z6, rows))
 
 
@@ -475,3 +476,9 @@ def test_gram_nonsingular_is_reported_independently():
     assert duality_report(self_dual).gram_nonsingular is False
     dual_only = dual_code(self_dual)
     assert duality_report(dual_only).gram_nonsingular is None
+
+
+def test_gram_determinant_is_capped_like_a_matrix_determinant():
+    # det(G G^T) sums rows! terms, so a 7-row generator is refused
+    with pytest.raises(SizeCapError):
+        duality_report(code_from_generator(F2, identity(F2, 7)))

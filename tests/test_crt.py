@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from korthos import (
+    BudgetExceededError,
     CrtSplit,
     InvariantViolationError,
     InvalidParameterError,
@@ -21,7 +24,7 @@ from korthos import (
     verify_semigroup_isomorphism,
 )
 
-from helpers import ring_family
+from helpers import det_rec, ring_family
 
 Z6 = make_zmod(6)
 R2 = make_r2()
@@ -237,6 +240,24 @@ def test_gl_order_matches_bruteforce(q, n):
 
 def test_gl2_z6_by_bruteforce():
     assert gl_order_bruteforce(Z6, 2) == gl_order(2, 2) * gl_order(3, 2) == 288
+
+
+@pytest.mark.parametrize("ring", [Z6, make_zmod(3)], ids=["Z6", "Z3"])
+def test_gl_sweep_matches_the_scalar_sweep(ring):
+    # one determinant per matrix of M_2(R), element by element
+    units = ring.units()
+    want = sum(det_rec(ring, [list(e[:2]), list(e[2:])]) in units
+               for e in itertools.product(range(ring.order), repeat=4))
+    assert gl_order_bruteforce(ring, 2) == want
+
+
+def test_gl_sweep_validates_its_degree_and_size():
+    for n in (0, -1):
+        with pytest.raises(InvalidParameterError, match="degree n must be >= 1"):
+            gl_order_bruteforce(Z6, n)
+    # 5^9 = 1,953,125 matrices exceed the naive sweep cap
+    with pytest.raises(BudgetExceededError, match="exceeds the cap"):
+        gl_order_bruteforce(make_zmod(5), 3)
 
 
 def test_orth_group_orders():

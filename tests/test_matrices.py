@@ -22,7 +22,7 @@ from korthos import (
 from korthos import _batch
 from korthos.search import enumerate_naive, enumerate_semigroup
 
-from helpers import all_matrices_array
+from helpers import all_matrices_array, det_rec, ring_family, scalar_matmul
 
 Z6 = make_zmod(6)
 R2 = make_r2()
@@ -112,6 +112,35 @@ def test_det_values():
     assert Mat.from_text(R2, "v,0;1+v,1").det() == V
     for ring in (Z6, R2):
         assert identity(ring, 3).det() == ring.one
+
+
+def _dets_match_cofactor_expansion(ring, mats):
+    n = mats.shape[-1]
+    got = _batch.det(ring, mats)
+    assert got.shape == mats.shape[:-2]
+    want = [det_rec(ring, [e[i * n:(i + 1) * n] for i in range(n)])
+            for e in mats.reshape(-1, n * n).tolist()]
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("ring", ring_family(), ids=lambda r: r.literal)
+def test_det_matches_cofactor_expansion_on_every_2x2(ring):
+    _dets_match_cofactor_expansion(ring, all_matrices_array(ring, 2, 2))
+
+
+@pytest.mark.parametrize("ring", [make_zmod(2), make_zmod(3), R2], ids=["Z2", "Z3", "R2"])
+def test_det_matches_cofactor_expansion_on_every_3x3(ring):
+    _dets_match_cofactor_expansion(ring, all_matrices_array(ring, 3, 3))
+
+
+@given(n=st.integers(4, 6), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_det_matches_cofactor_expansion_on_large_z6_batches(n, data):
+    count = data.draw(st.integers(1, 6))
+    entries = data.draw(st.lists(st.integers(0, 5), min_size=count * n * n,
+                                 max_size=count * n * n))
+    mats = np.array(entries, dtype=np.uint8).reshape(count, n, n)
+    _dets_match_cofactor_expansion(Z6, mats)
 
 
 def test_det_errors():
@@ -256,10 +285,10 @@ def test_scaling_converse_fails_on_the_reversal_witness():
 
 @pytest.mark.parametrize("ring", [R2, make_zmod(4)], ids=["R2", "Z4"])
 def test_gram_predicates_match_matrix_products(ring):
-    # the numpy Gram kernel against A^T A and A A^T from Mat.mul
+    # the numpy Gram kernel against A^T A and A A^T from the scalar product
     for flat in all_matrices_array(ring, 2, 2).reshape(-1, 4).tolist():
         a = Mat(ring, 2, 2, flat)
-        left, right = a.transpose().mul(a), a.mul(a.transpose())
+        left, right = scalar_matmul(a.transpose(), a), scalar_matmul(a, a.transpose())
         for k in ring.elements():
             want = scalar_mat(ring, k, 2)
             assert is_left_k_orthogonal(a, k) == (left == want)
@@ -271,8 +300,8 @@ def test_gram_predicates_match_matrix_products(ring):
 def test_gram_predicates_match_matrix_products_3x3(a):
     for k in range(6):
         want = scalar_mat(Z6, k, 3)
-        assert is_left_k_orthogonal(a, k) == (a.transpose().mul(a) == want)
-        assert is_right_k_orthogonal(a, k) == (a.mul(a.transpose()) == want)
+        assert is_left_k_orthogonal(a, k) == (scalar_matmul(a.transpose(), a) == want)
+        assert is_right_k_orthogonal(a, k) == (scalar_matmul(a, a.transpose()) == want)
 
 
 @pytest.mark.parametrize("ring", [make_zmod(2), make_zmod(3)])
@@ -288,3 +317,19 @@ def test_matrix_add_scale_neg():
     assert a.add(b) == Mat.from_text(Z6, "0,1;2,3")
     assert a.neg() == Mat.from_text(Z6, "5,4;3,2")
     assert a.scale(2) == Mat.from_text(Z6, "2,4;0,2")
+
+
+@pytest.mark.parametrize("ring", ring_family(), ids=lambda r: r.literal)
+def test_matrix_arithmetic_matches_the_scalar_loops(ring):
+    rng = np.random.default_rng(ring.order)
+
+    def draw(rows, cols):
+        return Mat(ring, rows, cols, rng.integers(ring.order, size=rows * cols).tolist())
+
+    for r, m, p in [(1, 1, 1), (2, 3, 2), (3, 1, 4), (2, 3, 0), (4, 4, 4)]:
+        a, b, c = draw(r, m), draw(m, p), draw(r, m)
+        k = int(rng.integers(ring.order))
+        assert a.mul(b) == scalar_matmul(a, b)
+        assert a.add(c) == Mat(ring, r, m, [ring.add(x, y) for x, y in zip(a.entries, c.entries)])
+        assert a.neg() == Mat(ring, r, m, [ring.neg(x) for x in a.entries])
+        assert a.scale(k) == Mat(ring, r, m, [ring.mul(k, x) for x in a.entries])

@@ -185,6 +185,13 @@ def test_idempotents_contain_zero_one_and_are_closed():
                 assert ring.mul(a, b) in s
 
 
+@pytest.mark.parametrize("ring", ring_family() + [make_zmod(256)], ids=lambda r: r.literal)
+def test_idempotents_are_the_ascending_solutions_of_e_squared_is_e(ring):
+    idem = ring.idempotents()
+    assert idem == [e for e in ring.elements() if ring.mul(e, e) == e]
+    assert all(type(e) is int for e in idem)
+
+
 def test_field_idempotents_are_trivial():
     for ring in ring_family():
         if ring.is_field():

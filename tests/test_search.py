@@ -23,6 +23,7 @@ from korthos import (
     disjoint_or_equal_check,
     enumerate_naive,
     enumerate_semigroup,
+    gl_order_bruteforce,
     identity,
     make_galois_field,
     make_r2,
@@ -627,7 +628,8 @@ def test_huge_degree_is_refused_before_any_sweep():
     # so nothing is counted or formed; a message never formats a huge number
     for call in (lambda: count_semigroup(Z6, 10 ** 20, 0),
                  lambda: antiorthogonal_exists(Z6, 10 ** 7),
-                 lambda: enumerate_naive(Z6, 10 ** 20, 0)):
+                 lambda: enumerate_naive(Z6, 10 ** 20, 0),
+                 lambda: gl_order_bruteforce(Z6, 10 ** 20)):
         with pytest.raises(BudgetExceededError) as err:
             call()
         assert len(str(err.value)) < 200
@@ -657,3 +659,34 @@ def test_oversize_walk_fails_with_bounded_memory():
     raised, maxrss_kb = json.loads(proc.stdout)
     assert raised
     assert maxrss_kb < 1024 * 1024
+
+
+def test_oversize_candidate_sweep_fails_with_bounded_memory():
+    # Z2 at n = 26 has 2^26 candidate columns, within the default budget,
+    # and 2^25 of them have <c, c> = 0; their pairs must hit the budget
+    # before all 2^26 columns (1.7 GB as one array) are formed.  Linux keeps
+    # ru_maxrss across exec, so a child started from this (large) process
+    # would report at least our size: the child reads its own VmHWM.
+    code = (
+        "import json, resource\n"
+        "from korthos import BudgetExceededError, count_semigroup, make_zmod\n"
+        "try:\n"
+        "    count_semigroup(make_zmod(2), 26, 0)\n"
+        "    stage = None\n"
+        "except BudgetExceededError as err:\n"
+        "    stage = [s for s, c in err.profile.items() if c][-1]\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = int(next(ln for ln in fh if ln.startswith('VmHWM')).split()[1])\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([stage, peak]))\n"
+    )
+    env = {key: val for key, val in os.environ.items() if key != "KORTHOS_BUDGET"}
+    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    stage, peak_kb = json.loads(proc.stdout)
+    assert stage == "pairs"
+    assert peak_kb < 200 * 1024
