@@ -11,6 +11,7 @@ check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -69,13 +70,22 @@ def det(ring, a):
     n = a.shape[-1]
     if n > DET_CAP:
         raise SizeCapError(f"determinant capped at {DET_CAP}x{DET_CAP}")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    odd = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    perms, odd = _permutations(n)
     terms = a[..., np.arange(n), perms]          # (..., n!, n)
     prod = np.full(terms.shape[:-1], ring.one, dtype=np.uint8)
     for j in range(n):
         prod = ring.mul_np[prod, terms[..., j]]
     return fold_add(ring, np.where(odd, ring.neg_np[prod], prod))
+
+
+@functools.cache
+def _permutations(n):
+    """The n! permutations of range(n) as rows, and which of them are odd;
+    read-only, as every call shares them."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    odd = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    perms.flags.writeable = odd.flags.writeable = False
+    return perms, odd
 
 
 def gram_is_scalar(ring, vecs, k):

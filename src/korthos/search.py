@@ -18,13 +18,15 @@ returns nothing partial.  Every stage charges its nodes before it allocates,
 so an oversize search fails at once, and the error names the budget, the
 nodes counted and the nodes per stage.  `enumerate_naive` is the
 independent brute-force oracle: it tests every one of the |R|^(n*n)
-matrices directly against the defining equation.
+matrices directly against the defining equation, reading each Gram off
+tables over the |R|^n rows instead of forming the matrix products.
 
 The checks on a listed census run on index arrays.  `verify_closure` holds
 each element as the tuple of the indices of its columns among the columns
-the census uses, forms A*c once per element A and used column c, and reads
-every product AB off those images, so it never forms the m*m products;
-`verify_group` is one batched Gram test and one lookup of the transposes.
+the census uses, forms A*c once per element A and used column c, and walks
+every product AB through a prefix tree of the elements' tuples by gathers,
+so it never forms the m*m products; `verify_group` is one batched Gram test
+and one lookup of the transposes.
 """
 
 from __future__ import annotations
@@ -267,24 +269,6 @@ def count_semigroup(ring, n, k, side="left", budget=None):
 # ---------------------------------------------------------------------------
 # independent brute-force oracle
 
-_GRAM_CACHE = {}
-
-
-def _naive_grams(ring, n):
-    """Grams of every matrix in M_n(R): (col_gram, row_gram), each
-    (|R|^(n*n), n, n).  Cached per (ring, n)."""
-    key = (ring.key, n)
-    if key not in _GRAM_CACHE:
-        mats = _batch.all_tuples(ring.order, n * n).reshape(-1, n, n)
-        at = mats.swapaxes(-1, -2)
-        col_gram = _batch.batch_matmul(ring, at, mats)   # A^T A
-        row_gram = _batch.batch_matmul(ring, mats, at)   # A A^T
-        if len(_GRAM_CACHE) >= 8:
-            _GRAM_CACHE.clear()
-        _GRAM_CACHE[key] = (mats, col_gram, row_gram)
-    return _GRAM_CACHE[key]
-
-
 def enumerate_naive(ring, n, k, side="left"):
     """Direct |R|^(n*n) sweep testing every matrix against the definition.
 
@@ -307,22 +291,33 @@ def _check_sweep(ring, n):
 
 
 def _naive_array(ring, n, k, side="left"):
-    """`enumerate_naive` as an (m, n, n) index array."""
+    """`enumerate_naive` as an (m, n, n) index array.
+
+    A matrix is a tuple of n rows among the |R|^n vectors of R^n, so the
+    sweep is a broadcast grid with one axis per row, in lexicographic order,
+    and each side's Gram is read off tables over the rows: A^T A is the ring
+    sum of the outer products r_i^T r_i, and (A A^T)[i, j] is <r_i, r_j>.
+    """
     _check_sweep(ring, n)
     ring.check_element(k)
     side = normalize_side(side)
-    mats, col_gram, row_gram = _naive_grams(ring, n)
-    target = np.full((n, n), ring.zero, dtype=col_gram.dtype)
+    rows = _batch.all_tuples(ring.order, n)
+    grid = np.ix_(*[np.arange(len(rows))] * n)          # r_i runs along axis i
+    target = np.full((n, n), ring.zero, dtype=np.uint8)
     np.fill_diagonal(target, k)
-    ok_left = (col_gram == target).all(axis=(1, 2))
-    ok_right = (row_gram == target).all(axis=(1, 2))
-    if side == "left":
-        mask = ok_left
-    elif side == "right":
-        mask = ok_right
-    else:
-        mask = ok_left & ok_right
-    return mats[mask]
+    mask = np.ones((len(rows),) * n, dtype=bool)
+    if side != "right":                                   # A^T A = kI
+        outer = ring.mul_np[rows[:, :, None], rows[:, None, :]]
+        gram = outer[grid[0]]
+        for r in grid[1:]:
+            gram = ring.add_np[gram, outer[r]]
+        mask &= (gram == target).all(axis=(-2, -1))
+    if side != "left":                                    # A A^T = kI
+        dots = _batch.batch_dot(ring, rows[:, None, :], rows[None, :, :])
+        for i in range(n):
+            for j in range(n):
+                mask &= dots[grid[i], grid[j]] == target[i, j]
+    return rows[np.argwhere(mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +334,13 @@ def verify_closure(census):
     is closed exactly when its transposes are).  Each element is the n-tuple
     of the indices of its columns among the m_c distinct columns the census
     uses, and column j of AB is A times column j of B.  So A*c is formed once
-    for every element A and used column c, and mapped to its index (-1 when
-    the census never uses it); every product is then a gather of n indices,
-    looked up as one exact mixed-radix code among the elements' codes.  The
-    m*m_c images and m*m lookups are charged to the node budget first.
+    for every element A and used column c and mapped to its index; a product
+    is an element when its tuple of images is one, which a prefix tree of the
+    elements' tuples decides: `step[j][p * m_c + c]` is the child by column c
+    of node p of depth j, or the dead node 0.  For a block of A the tree is
+    walked for B and AB together, so depth j gathers one entry per pair of A
+    and distinct j-prefix of B, and only the last depth does m*m work.  The
+    m*m_c images and m*m products are charged to the node budget first.
     """
     ring, n, m = census.ring, census.n, census.count
     mats = census.array if census.side != "right" else census.array.swapaxes(1, 2)
@@ -350,9 +348,6 @@ def verify_closure(census):
                            return_inverse=True)
     code = code.reshape(m, n)
     mc = len(cols)
-    if mc ** n >= 2 ** 63:
-        raise InvalidParameterError(
-            f"closure codes of {n} indices among {mc} columns do not fit in 64 bits")
     limit = resolve_budget()
     if m * mc + m * m > limit:
         raise BudgetExceededError(
@@ -363,16 +358,23 @@ def verify_closure(census):
     for part in _batch.chunks(m, mc * n * n):
         prod = _batch.batch_matmul(ring, mats[part], vecs)
         image[part] = _batch.lookup(cols, _batch.row_keys(prod.swapaxes(1, 2)))
-    elems = np.sort(code @ (mc ** np.arange(n - 1, -1, -1, dtype=np.int64)))
+    # the nodes of depth j + 1 are the distinct (parent, column) pairs of the
+    # elements; nodes are numbered from 1 at every depth, the root is node 1
+    node, size, step = np.ones(m, dtype=np.intp), 1, []
+    for j in range(n):
+        pairs, child = np.unique(node * mc + code[:, j], return_inverse=True)
+        table = np.zeros((size + 1) * mc, dtype=np.intp)
+        table[pairs] = np.arange(1, len(pairs) + 1)
+        step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
+        node, size = child + 1, len(pairs)
     ok = bool((image >= 0).all())
-    for part in _batch.chunks(m, 8 * m):                  # int64 blocks of CHUNK bytes
+    for part in _batch.chunks(m, 8 * m):                  # intp blocks of CHUNK bytes
         if not ok:
             break
-        prods = np.zeros((len(image[part]), m), dtype=np.int64)
-        for j in range(n):                                # column j of AB is image[A, code[B, j]]
-            prods *= mc
-            prods += image[part][:, code[:, j]]
-        ok = bool((_batch.lookup(elems, prods) >= 0).all())
+        at = np.ones((len(image[part]), 1), dtype=np.intp)   # the root, for each A
+        for table, parent, col in step:
+            at = table[at[:, parent - 1] * mc + image[part][:, col]]
+        ok = bool(at.all())
     census.checks["closure_verified"] = ok
     return ok
 

@@ -164,6 +164,29 @@ def test_pruned_equals_naive_spot():
             assert pruned.elements == naive
 
 
+def _naive_by_products(ring, n, k, side):
+    """Reference sweep: form both Grams of every matrix with `batch_matmul`."""
+    mats = _batch.all_tuples(ring.order, n * n).reshape(-1, n, n)
+    at = mats.swapaxes(-1, -2)
+    target = np.full((n, n), ring.zero, dtype=np.uint8)
+    np.fill_diagonal(target, k)
+    ok_left = (_batch.batch_matmul(ring, at, mats) == target).all(axis=(1, 2))
+    ok_right = (_batch.batch_matmul(ring, mats, at) == target).all(axis=(1, 2))
+    return mats[{"left": ok_left, "right": ok_right, "two_sided": ok_left & ok_right}[side]]
+
+
+@pytest.mark.parametrize("ring,n", [(ring, n) for ring in ring_family() for n in (1, 2)]
+                         + [(make_zmod(4), 3), (make_zmod(3), 3), (make_galois_field(2), 3)],
+                         ids=lambda x: getattr(x, "literal", str(x)))
+@pytest.mark.parametrize("side", SIDES)
+def test_naive_sweep_matches_forming_every_gram(ring, n, side):
+    for k in ring.elements() if n < 3 else ring.idempotents():
+        naive = search._naive_array(ring, n, k, side)
+        expected = _naive_by_products(ring, n, k, side)
+        assert naive.dtype == expected.dtype and naive.shape == expected.shape
+        assert naive.tobytes() == expected.tobytes()
+
+
 def test_naive_cap():
     with pytest.raises(BudgetExceededError):
         enumerate_naive(Z6, 3, 0, "left")  # 6^9 > the naive cap
@@ -293,11 +316,57 @@ def test_closure_over_the_budget_is_a_hard_error(monkeypatch):
         verify_closure(census)
 
 
-def test_closure_codes_must_fit_in_64_bits():
-    # the identity of degree n uses n columns, so its codes need n^n < 2^63
-    assert verify_closure(SemigroupCensus(F2, 15, 1, "left", np.eye(15, dtype=np.uint8)[None]))
-    with pytest.raises(InvalidParameterError, match="16 indices among 16 columns"):
-        verify_closure(SemigroupCensus(F2, 16, 1, "left", np.eye(16, dtype=np.uint8)[None]))
+def _permutation_set(n, *maps):
+    """A hand-built left census over F2 of the matrices A with A e_j =
+    e_{f(j)}, one per map f; the product AB is the composite f_A(f_B)."""
+    mats = sorted(np.eye(n, dtype=np.uint8)[:, list(f)].tobytes() for f in maps)
+    return SemigroupCensus(F2, n, 1, "left",
+                           np.frombuffer(b"".join(mats), np.uint8).reshape(-1, n, n))
+
+
+def test_closure_has_no_width_limit():
+    # the identity of degree n has n^n column tuples: 16^16 = 2^64 and
+    # 20^20 > 2^86 fit no fixed-width code, and the tree needs none
+    for n in (16, 20):
+        assert verify_closure(SemigroupCensus(F2, n, 1, "left", np.eye(n, dtype=np.uint8)[None]))
+    ident = list(range(16))
+    swap = [1, 0] + ident[2:]             # an involution: {I, P} is closed
+    census = _permutation_set(16, ident, swap)
+    assert verify_closure(census) is _closure_by_products(census) is True
+    cycle = [1, 2, 0] + ident[3:]         # C^2 is missing from {I, C}
+    census = _permutation_set(16, ident, cycle)
+    assert verify_closure(census) is _closure_by_products(census) is False
+
+
+def _first_dead_depth(census):
+    """The least j such that the first j columns of some product of two
+    elements start no element (None when the set is closed)."""
+    arr, n = census.array, census.n
+    prefixes = {arr[e, :, :j].tobytes() for e in range(len(arr)) for j in range(n + 1)}
+    prods = _batch.batch_matmul(census.ring, arr[:, None], arr[None]).reshape(-1, n, n)
+    dead = [min(j for j in range(n + 1) if p[:, :j].tobytes() not in prefixes)
+            for p in prods if p.tobytes() not in prefixes]
+    return min(dead, default=None)
+
+
+@pytest.mark.parametrize("maps,depth", [
+    # {I, C} with C a 4-cycle: C^2 = (2, 3, 0, 1) starts with e_2, and no
+    # element's first column is e_2
+    (([0, 1, 2, 3], [1, 2, 3, 0]), 1),
+    # {I, G} with G = (0, 1, 3, 0): G^2 = (0, 1, 0, 0) shares its first two
+    # columns with both elements and its first three with none
+    (([0, 1, 2, 3], [0, 1, 3, 0]), 3),
+    # {I, P, H} with P = (1, 0, 2, 3) and H = (1, 0, 2, 2): PH, HP and H^2
+    # are (0, 1, 2, 2), which agrees with I up to the last column
+    (([0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 2, 2]), 4),
+], ids=["depth-1", "depth-n-1", "depth-n"])
+def test_closure_when_a_product_prefix_dies(monkeypatch, maps, depth):
+    census = _permutation_set(4, *maps)
+    assert _first_dead_depth(census) == depth
+    assert _closure_by_products(census) is False
+    assert verify_closure(census) is False
+    monkeypatch.setattr(_batch, "CHUNK", 64)
+    assert verify_closure(census) is False
 
 
 def test_group_structure_of_k_one_censuses():
@@ -638,55 +707,56 @@ def test_huge_degree_is_refused_before_any_sweep():
         count_semigroup(Z6, 6000, 0, budget=10 ** 4000)
 
 
+# Linux keeps ru_maxrss across exec, so a child started from this (large)
+# process would report at least our size: the child reads its own VmHWM.
+_PRINT_PEAK = (
+    "import json, resource\n"
+    "try:\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        peak = int(next(ln for ln in fh if ln.startswith('VmHWM')).split()[1])\n"
+    "except OSError:\n"
+    "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(json.dumps([result, peak]))\n"
+)
+
+
+def _run_with_peak(code):
+    """Run `code`, which sets `result`, in a fresh interpreter under the
+    default budget; return [result, the child's peak resident size in kB]."""
+    env = {key: val for key, val in os.environ.items() if key != "KORTHOS_BUDGET"}
+    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code + _PRINT_PEAK], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_oversize_walk_fails_with_bounded_memory():
     # Z256 at n = 3 has 4,096 candidates and ~10^8 nodes; the walk must hit
-    # the budget without buffering what it has walked
-    code = (
-        "import json, resource\n"
+    # the budget without buffering what it has walked (it peaks near 100 MB)
+    raised, peak_kb = _run_with_peak(
         "from korthos import BudgetExceededError, enumerate_semigroup, make_zmod\n"
         "try:\n"
         "    enumerate_semigroup(make_zmod(256), 3, 0)\n"
-        "    raised = False\n"
+        "    result = False\n"
         "except BudgetExceededError:\n"
-        "    raised = True\n"
-        "print(json.dumps([raised, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
+        "    result = True\n"
     )
-    env = {key: val for key, val in os.environ.items() if key != "KORTHOS_BUDGET"}
-    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    raised, maxrss_kb = json.loads(proc.stdout)
     assert raised
-    assert maxrss_kb < 1024 * 1024
+    assert peak_kb < 256 * 1024
 
 
 def test_oversize_candidate_sweep_fails_with_bounded_memory():
     # Z2 at n = 26 has 2^26 candidate columns, within the default budget,
     # and 2^25 of them have <c, c> = 0; their pairs must hit the budget
-    # before all 2^26 columns (1.7 GB as one array) are formed.  Linux keeps
-    # ru_maxrss across exec, so a child started from this (large) process
-    # would report at least our size: the child reads its own VmHWM.
-    code = (
-        "import json, resource\n"
+    # before all 2^26 columns (1.7 GB as one array) are formed
+    stage, peak_kb = _run_with_peak(
         "from korthos import BudgetExceededError, count_semigroup, make_zmod\n"
         "try:\n"
         "    count_semigroup(make_zmod(2), 26, 0)\n"
-        "    stage = None\n"
+        "    result = None\n"
         "except BudgetExceededError as err:\n"
-        "    stage = [s for s, c in err.profile.items() if c][-1]\n"
-        "try:\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        peak = int(next(ln for ln in fh if ln.startswith('VmHWM')).split()[1])\n"
-        "except OSError:\n"
-        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps([stage, peak]))\n"
+        "    result = [s for s, c in err.profile.items() if c][-1]\n"
     )
-    env = {key: val for key, val in os.environ.items() if key != "KORTHOS_BUDGET"}
-    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    stage, peak_kb = json.loads(proc.stdout)
     assert stage == "pairs"
     assert peak_kb < 200 * 1024
