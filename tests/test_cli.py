@@ -1,11 +1,15 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from korthos.cli import main
 
-TABLES = Path(__file__).resolve().parent.parent / "tables"
+ROOT = Path(__file__).resolve().parent.parent
+TABLES = ROOT / "tables"
+SNAPSHOTS = Path(__file__).resolve().parent / "cli_snapshots.json"
 
 
 def run(capsys, *argv):
@@ -356,3 +360,65 @@ def test_search_commands_report_nodes(capsys, argv):
     rows = payload["result"].get("rows")
     if rows:
         assert payload["nodes"] == sum(r["nodes"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# pinned output of every README command in every format it accepts
+
+# branches the README block does not reach: a plain CRT split, a census over
+# every idempotent with its matrices, a count-table verify, a witness found,
+# a usage error and a golden mismatch
+EXTRA_COMMANDS = [
+    "crt --ring Z6 --k 4",
+    "census --ring Z6 --n 2 --emit matrices",
+    "verify --table tables/z6-n2-counts.json",
+    "antiortho --ring Z6 --n 2",
+    "crt --ring Z6 --verify",
+    "tables --ring Z6 --n 2 --golden tables/r2-n2-counts.json",
+]
+
+
+def readme_commands():
+    """The `korthos ...` lines of README's `## CLI` bash block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```bash\n(.*?)^```", text, re.S | re.M).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("korthos ")]
+
+
+def snapshot_cases():
+    """(key, argv) for each command in each format it accepts; any
+    `--format` on the command line is replaced."""
+    cases = []
+    for argv in readme_commands() + [shlex.split(c) for c in EXTRA_COMMANDS]:
+        if "--format" in argv:
+            i = argv.index("--format")
+            argv = argv[:i] + argv[i + 2:]
+        formats = ["text", "json"] + (["csv"] if argv[0] in ("census", "tables") else [])
+        for fmt in formats:
+            full = argv + ["--format", fmt]
+            cases.append((shlex.join(full), full))
+    return cases
+
+
+def run_snapshot(capsys, argv):
+    """{exit, stdout, stderr} of one run, with the JSON `elapsed_ms` line cut."""
+    code = main(argv)
+    out = capsys.readouterr()
+    stdout = re.sub(r'\n  "elapsed_ms": [-+.eE0-9]+,', "", out.out)
+    return {"exit": code, "stdout": stdout, "stderr": out.err}
+
+
+def test_snapshots_cover_every_readme_command():
+    keys = set(json.loads(SNAPSHOTS.read_text(encoding="utf-8")))
+    assert keys == {key for key, _ in snapshot_cases()}
+    assert len(readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("key,argv", snapshot_cases(), ids=[k for k, _ in snapshot_cases()])
+def test_cli_output_matches_snapshot(monkeypatch, capsys, key, argv):
+    # run from the repo root, so the README's relative table paths resolve
+    # and appear verbatim in `params`
+    monkeypatch.chdir(ROOT)
+    want = json.loads(SNAPSHOTS.read_text(encoding="utf-8"))[key]
+    assert run_snapshot(capsys, argv) == want
