@@ -1,10 +1,11 @@
 """Command-line front end: censuses, golden-table verification, CRT reports,
 code analysis, and antiorthogonal witness searches.
 
-Every command assembles a run report {command, ring, params, result,
-elapsed_ms, nodes}; identical invocations produce byte-identical JSON apart
-from the elapsed-time field.  Exit codes: 0 success, 2 verification mismatch,
-1 usage or budget errors.
+Every command returns its result as a `_Run`, and `main` alone times it,
+assembles the run report {command, ring, params, result, elapsed_ms, nodes}
+and prints it as JSON, text or CSV; identical invocations produce
+byte-identical JSON apart from the elapsed-time field.  Exit codes: 0
+success, 2 verification mismatch, 1 usage or budget errors.
 """
 
 from __future__ import annotations
@@ -13,22 +14,13 @@ import argparse
 import json
 import sys
 import time
+from typing import Iterable, NamedTuple
 
-from .codes import (
-    code_from_generator,
-    drop_rows,
-    duality_report,
-    systematic_from_A,
-)
+from .codes import code_from_generator, drop_rows, duality_report, systematic_from_A
 from .errors import KorthosError
 from .matrices import Mat
-from .rings import parse_ring
-from .search import (
-    _antiorthogonal_search,
-    census_table,
-    enumerate_semigroup,
-    normalize_side,
-)
+from .rings import Ring, parse_ring
+from .search import _antiorthogonal_search, census_table, enumerate_semigroup, normalize_side
 from .crt import split, verify_semigroup_isomorphism
 
 EXIT_OK = 0
@@ -43,109 +35,71 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(report, fmt, text_lines):
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _report(command, ring_literal, params, result, t0, nodes=0):
-    return {
-        "command": command,
-        "ring": ring_literal,
-        "params": params,
-        "result": result,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "nodes": nodes,
-    }
+class _Run(NamedTuple):
+    """What a command hands to `main`: the report's ring, params, result and
+    nodes, the lines to print as text and as CSV, and the exit status."""
+    ring: Ring
+    params: dict
+    result: dict
+    nodes: int = 0
+    text: Iterable[str] = ()
+    csv: Iterable[str] = ()
+    status: int = EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_idempotents(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
-    idem = ring.idempotents()
-    result = {"idempotents": [ring.render(e) for e in idem], "count": len(idem)}
-    rep = _report("idempotents", ring.literal, {}, result, t0)
-    _emit(rep, args.format, [
+    idem = [ring.render(e) for e in ring.idempotents()]
+    return _Run(ring, {}, {"idempotents": idem, "count": len(idem)}, text=[
         f"ring {ring.literal} (order {ring.order})",
-        "idempotents: " + ", ".join(result["idempotents"]),
+        "idempotents: " + ", ".join(idem),
     ])
-    return EXIT_OK
 
 
 def _cmd_census(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
     side = normalize_side(args.side)
     ks = [ring.parse_element(args.k)] if args.k is not None else ring.idempotents()
+    censuses = [enumerate_semigroup(ring, args.n, k, side) for k in ks]
     entries = []
-    nodes = 0
-    for k in ks:
-        census = enumerate_semigroup(ring, args.n, k, side)
-        nodes += census.nodes
-        row = {"k": ring.render(k), "side": side, "count": census.count}
+    for census in censuses:
+        row = {"k": ring.render(census.k), "side": side, "count": census.count}
         if args.emit == "matrices":
             row["matrices"] = [m.render_entries() for m in census.elements]
         entries.append(row)
-    result = {"n": args.n, "censuses": entries}
-    rep = _report("census", ring.literal, {"n": args.n, "side": side,
-                                           "k": args.k, "emit": args.emit},
-                  result, t0, nodes)
-    if args.format == "csv":
-        print("k,side,count")
-        for row in entries:
-            print(f"{row['k']},{row['side']},{row['count']}")
-        return EXIT_OK
-    lines = [f"{side} census over {ring.literal}, n={args.n}"]
-    for row in entries:
-        lines.append(f"  k={row['k']}: {row['count']} matrices")
-        if args.emit == "matrices":
-            census_mats = row["matrices"]
-            lines.extend("    " + ";".join(",".join(r[i * args.n:(i + 1) * args.n])
-                                           for i in range(args.n))
-                         for r in census_mats)
-    _emit(rep, args.format, lines)
-    return EXIT_OK
 
+    def text():   # lazy, so a JSON listing renders no matrix text
+        yield f"{side} census over {ring.literal}, n={args.n}"
+        for row, census in zip(entries, censuses):
+            yield f"  k={row['k']}: {row['count']} matrices"
+            if args.emit == "matrices":
+                yield from ("    " + m.to_text() for m in census.elements)
 
-def _rows_to_map(rows):
-    return {r["k"]: (r["lo"], r["o"], r.get("diff", r["lo"] - r["o"])) for r in rows}
+    return _Run(ring, {"n": args.n, "side": side, "k": args.k, "emit": args.emit},
+                {"n": args.n, "censuses": entries}, sum(c.nodes for c in censuses),
+                text(), ["k,side,count", *(f"{r['k']},{r['side']},{r['count']}"
+                                           for r in entries)])
 
 
 def _cmd_tables(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
     rows = census_table(ring, args.n)
     result = {"n": args.n, "rows": rows}
-    status = EXIT_OK
+    text = [f"census table over {ring.literal}, n={args.n}",
+            f"{'k':>8} {'LO':>8} {'O':>8} {'LO-O':>8}",
+            *(f"{r['k']:>8} {r['lo']:>8} {r['o']:>8} {r['diff']:>8}" for r in rows)]
     mismatches = []
     if args.golden:
-        golden = _load_table(args.golden, "rows")
-        mismatches = _compare_count_tables(golden, ring, args.n, rows)
-        result["golden"] = args.golden
-        result["mismatches"] = mismatches
-        if mismatches:
-            status = EXIT_MISMATCH
-    rep = _report("tables", ring.literal, {"n": args.n, "golden": args.golden},
-                  result, t0, sum(r["nodes"] for r in rows))
-    if args.format == "csv":
-        print("k,lo,o,diff")
-        for r in rows:
-            print(f"{r['k']},{r['lo']},{r['o']},{r['diff']}")
-        return status
-    lines = [f"census table over {ring.literal}, n={args.n}",
-             f"{'k':>8} {'LO':>8} {'O':>8} {'LO-O':>8}"]
-    for r in rows:
-        lines.append(f"{r['k']:>8} {r['lo']:>8} {r['o']:>8} {r['diff']:>8}")
-    if args.golden:
-        lines.append("golden check: " + ("OK" if not mismatches else "; ".join(mismatches)))
-    _emit(rep, args.format, lines)
-    return status
+        mismatches = _compare_count_tables(_load_table(args.golden, "rows"), ring, args.n, rows)
+        result.update(golden=args.golden, mismatches=mismatches)
+        text.append("golden check: " + ("OK" if not mismatches else "; ".join(mismatches)))
+    return _Run(ring, {"n": args.n, "golden": args.golden}, result,
+                sum(r["nodes"] for r in rows), text,
+                ["k,lo,o,diff", *(f"{r['k']},{r['lo']},{r['o']},{r['diff']}" for r in rows)],
+                EXIT_MISMATCH if mismatches else EXIT_OK)
 
 
 def _load_table(path, *keys):
@@ -165,19 +119,21 @@ def _load_table(path, *keys):
 
 
 def _check_shape(path, table):
-    """Reject a table whose values have the wrong types, naming the key."""
+    """Reject a table whose values have the wrong types, naming the key.  An
+    integer is `type(v) is int`: JSON's true and false are bools, which
+    subclass int."""
     def require(ok, key, want):
         if not ok:
             raise KorthosError(f"{path}: {key!r} must be {want}")
 
     if "n" in table:
-        require(isinstance(table["n"], int), "n", "an integer")
+        require(type(table["n"]) is int, "n", "an integer")
     if "k" in table:
         require(isinstance(table["k"], str), "k", "an element literal string")
     rows = table.get("rows", [])
     require(isinstance(rows, list) and all(
         isinstance(r, dict) and isinstance(r.get("k"), str)
-        and isinstance(r.get("lo"), int) and isinstance(r.get("o"), int)
+        and type(r.get("lo")) is int and type(r.get("o")) is int
         for r in rows), "rows", "a list of objects with a string 'k' and integer 'lo' and 'o'")
     for key in ("lo", "ro", "o"):
         mats = table.get(key, [])
@@ -187,6 +143,8 @@ def _check_shape(path, table):
 
 
 def _compare_count_tables(golden, ring, n, rows):
+    """The mismatches of computed `census_table` rows against a golden count
+    table; `verify` on a count table and `tables --golden` both end here."""
     problems = []
     if golden.get("ring") and parse_ring(golden["ring"]) != ring:
         problems.append(f"ring mismatch: golden has {golden['ring']}")
@@ -194,8 +152,8 @@ def _compare_count_tables(golden, ring, n, rows):
         problems.append(f"degree mismatch: golden has n={golden.get('n')}")
     if problems:
         return problems
-    got = _rows_to_map(rows)
-    want = _rows_to_map(golden["rows"])
+    got, want = ({r["k"]: (r["lo"], r["o"], r.get("diff", r["lo"] - r["o"])) for r in table}
+                 for table in (rows, golden["rows"]))
     for k in sorted(set(got) | set(want)):
         if k not in got:
             problems.append(f"k={k} missing from computed table")
@@ -204,10 +162,6 @@ def _compare_count_tables(golden, ring, n, rows):
         elif got[k] != want[k]:
             problems.append(f"k={k}: computed {got[k]}, golden {want[k]}")
     return problems
-
-
-def _matrix_set(entry_lists):
-    return {tuple(e) for e in entry_lists}
 
 
 def _compare_matrix_table(golden, ring, n):
@@ -221,18 +175,15 @@ def _compare_matrix_table(golden, ring, n):
             continue
         census = enumerate_semigroup(ring, n, k, side)
         nodes += census.nodes
-        got = _matrix_set(m.render_entries() for m in census.elements)
-        want = _matrix_set(golden[side_key])
+        got = {tuple(m.render_entries()) for m in census.elements}
+        want = set(map(tuple, golden[side_key]))
         if got != want:
-            problems.append(
-                f"{side_key}: computed {len(got)} matrices, golden {len(want)}, "
-                f"set difference {len(got ^ want)}"
-            )
+            problems.append(f"{side_key}: computed {len(got)} matrices, golden {len(want)}, "
+                            f"set difference {len(got ^ want)}")
     return problems, nodes
 
 
 def _cmd_verify(args):
-    t0 = time.perf_counter()
     golden = _load_table(args.table, "ring", "n")
     ring = parse_ring(golden["ring"])
     n = golden["n"]
@@ -247,18 +198,14 @@ def _cmd_verify(args):
         mismatches, nodes = _compare_matrix_table(golden, ring, n)
         result = {"n": n, "kind": "matrices", "k": golden.get("k"),
                   "mismatches": mismatches}
-    status = EXIT_OK if not mismatches else EXIT_MISMATCH
-    rep = _report("verify", ring.literal, {"table": args.table}, result, t0, nodes)
-    _emit(rep, args.format, [
+    return _Run(ring, {"table": args.table}, result, nodes, [
         f"verify {args.table} against {ring.literal}, n={n}: "
         + ("OK" if not mismatches else "MISMATCH"),
         *("  " + m for m in mismatches),
-    ])
-    return status
+    ], status=EXIT_MISMATCH if mismatches else EXIT_OK)
 
 
 def _cmd_crt(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
     crt_split = split(ring)
     if args.verify:
@@ -266,34 +213,27 @@ def _cmd_crt(args):
             raise KorthosError("crt --verify needs both --n and --k")
         k = ring.parse_element(args.k)
         result = verify_semigroup_isomorphism(ring, args.n, k, side=args.side)
-        status = EXIT_OK if result["bijection_ok"] else EXIT_MISMATCH
-        rep = _report("crt", ring.literal,
-                      {"n": args.n, "k": args.k, "verify": True, "side": args.side},
-                      result, t0, result["nodes"])
-        _emit(rep, args.format, [
+        ok = result["bijection_ok"]
+        return _Run(ring, {"n": args.n, "k": args.k, "verify": True, "side": args.side},
+                    result, result["nodes"], [
             f"{ring.literal} -> " + " x ".join(result["factors"]),
             f"k={result['k']} maps to a=({', '.join(result['a_j'])})",
             f"factor counts {result['factor_counts']}, product {result['product']}, "
             f"direct {result['direct_count']}",
-            "bijection: " + ("OK" if result["bijection_ok"] else "FAILED"),
-        ])
-        return status
+            "bijection: " + ("OK" if ok else "FAILED"),
+        ], status=EXIT_OK if ok else EXIT_MISMATCH)
     result = {"factors": [f.literal for f in crt_split.factors]}
+    text = [f"{ring.literal} -> " + " x ".join(result["factors"])]
     if args.k is not None:
         k = ring.parse_element(args.k)
         result["k"] = ring.render(k)
         result["a_j"] = [f.render(x) for f, x in
-                       zip(crt_split.factors, crt_split.forward(k))]
-    rep = _report("crt", ring.literal, {"k": args.k}, result, t0)
-    lines = [f"{ring.literal} -> " + " x ".join(result["factors"])]
-    if "a_j" in result:
-        lines.append(f"k={result['k']} maps to ({', '.join(result['a_j'])})")
-    _emit(rep, args.format, lines)
-    return EXIT_OK
+                         zip(crt_split.factors, crt_split.forward(k))]
+        text.append(f"k={result['k']} maps to ({', '.join(result['a_j'])})")
+    return _Run(ring, {"k": args.k}, result, text=text)
 
 
 def _cmd_code(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
     if (args.A is None) == (args.generator is None):
         raise KorthosError("pass exactly one of --A or --generator")
@@ -318,53 +258,31 @@ def _cmd_code(args):
         "generator": code.generator.render_entries() if code.generator else None,
         "generator_rows": code.generator.rows if code.generator else None,
     }
+    text = [f"code over {ring.literal}: length {code.length}, "
+            f"{code.size} codewords, systematic={code.systematic}"]
     if args.report:
-        rpt = duality_report(code)
-        result["report"] = {
-            "dual_size": rpt.dual_size,
-            "self_dual": rpt.self_dual,
-            "weakly_self_dual": rpt.weakly_self_dual,
-            "lcd": rpt.lcd,
-            "gram_nonsingular": rpt.gram_nonsingular,
-            "hamming_distance": rpt.hamming_distance,
-            "lee_distance": rpt.lee_distance,
-        }
-    rep = _report("code", ring.literal,
-                  {"A": args.A, "generator": args.generator,
-                   "drop_rows": args.drop_rows, "report": args.report},
-                  result, t0)
-    lines = [f"code over {ring.literal}: length {code.length}, "
-             f"{code.size} codewords, systematic={code.systematic}"]
-    if args.report:
-        r = result["report"]
-        lines.append(
+        r = result["report"] = duality_report(code)._asdict()
+        text += [
             f"dual size {r['dual_size']}; self-dual={r['self_dual']}, "
-            f"weakly self-dual={r['weakly_self_dual']}, lcd={r['lcd']}"
-        )
-        lines.append(
+            f"weakly self-dual={r['weakly_self_dual']}, lcd={r['lcd']}",
             f"gram nonsingular={r['gram_nonsingular']}, "
-            f"hamming={r['hamming_distance']}, lee={r['lee_distance']}"
-        )
-    _emit(rep, args.format, lines)
-    return EXIT_OK
+            f"hamming={r['hamming_distance']}, lee={r['lee_distance']}",
+        ]
+    return _Run(ring, {"A": args.A, "generator": args.generator,
+                       "drop_rows": args.drop_rows, "report": args.report},
+                result, text=text)
 
 
 def _cmd_antiortho(args):
-    t0 = time.perf_counter()
     ring = parse_ring(args.ring)
     witness, nodes = _antiorthogonal_search(ring, args.n)
-    result = {
-        "n": args.n,
-        "found": witness is not None,
-        "witness": witness.render_entries() if witness else None,
-    }
-    rep = _report("antiortho", ring.literal, {"n": args.n}, result, t0, nodes)
-    lines = ([f"antiorthogonal {args.n}x{args.n} witness over {ring.literal}: "
-              + witness.to_text()]
-             if witness else
-             [f"no {args.n}x{args.n} antiorthogonal matrix over {ring.literal} (none found)"])
-    _emit(rep, args.format, lines)
-    return EXIT_OK
+    result = {"n": args.n, "found": witness is not None,
+              "witness": witness.render_entries() if witness else None}
+    return _Run(ring, {"n": args.n}, result, nodes, [
+        f"antiorthogonal {args.n}x{args.n} witness over {ring.literal}: " + witness.to_text()
+        if witness else
+        f"no {args.n}x{args.n} antiorthogonal matrix over {ring.literal} (none found)"
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +349,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:   # printing too, so a failed write (a closed pipe) is one error line
+        t0 = time.perf_counter()
+        run = args.func(args)
+        if args.format == "json":
+            print(json.dumps({
+                "command": args.cmd,
+                "ring": run.ring.literal,
+                "params": run.params,
+                "result": run.result,
+                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+                "nodes": run.nodes,
+            }, sort_keys=True, indent=2))
+        else:
+            for line in run.csv if args.format == "csv" else run.text:
+                print(line)
+        return run.status
     except (KorthosError, OSError) as exc:
         print(f"korthos: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

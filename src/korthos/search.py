@@ -31,6 +31,7 @@ and one lookup of the transposes.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -180,12 +181,19 @@ def _column_candidates(ring, n, k, counter):
     return np.concatenate(found)
 
 
+def _check_degree(n):
+    """Refuse a degree n that is not an integer >= 1; a bool is not one."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise InvalidParameterError(f"degree n must be an integer, got {type(n).__name__}")
+    if operator.index(n) < 1:
+        raise InvalidParameterError("degree n must be >= 1")
+
+
 def _search(ring, n, k, limit, two_sided=False):
     """Validate, sweep the candidates and their pairs, and return (counter,
     cands, the `_walk` generator).  adj[i, j] is True when the pair is
     orthogonal, i.e. has Gram matrix kI; one node per unordered pair."""
-    if n < 1:
-        raise InvalidParameterError("degree n must be >= 1")
+    _check_degree(n)
     ring.check_element(k)
     if n >= limit.bit_length():   # then |R|^n >= 2^n > limit candidates
         raise BudgetExceededError(f"the {ring.order}^{_clip(n)} candidate columns exceed "
@@ -282,8 +290,7 @@ def enumerate_naive(ring, n, k, side="left"):
 def _check_sweep(ring, n):
     """Refuse a sweep of the |R|^(n*n) matrices of M_n(R) for n < 1 or over
     NAIVE_CAP matrices, before anything is formed."""
-    if n < 1:
-        raise InvalidParameterError("degree n must be >= 1")
+    _check_degree(n)
     if n * n >= NAIVE_CAP.bit_length() or ring.order ** (n * n) > NAIVE_CAP:
         raise BudgetExceededError(
             f"naive sweep of {ring.order}^{_clip(n * n)} matrices exceeds the cap of {NAIVE_CAP}"

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,25 @@ def test_missing_table_file_exits_1(capsys):
     assert code == 1
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, as in `korthos ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failed_write_exits_1(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["census", "--ring", "Z6", "--n", "2", "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "korthos: error: [Errno 32] Broken pipe\n"
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--ring", "Z6"])  # missing --n
@@ -302,13 +322,15 @@ def test_malformed_table_file_exits_1(tmp_path, capsys, text, needle):
     ("verify", '{"ring": "Z6", "n": 2, "rows": [{"k": "0", "o": 1}]}', "'rows'"),
     ("tables", '{"ring": "Z6", "n": 2, "rows": [{"k": "0", "lo": 1}]}', "'rows'"),
     ("verify", '{"ring": "Z6", "n": 2, "rows": 5}', "'rows'"),
+    ("verify", '{"ring": "Z6", "n": true, "rows": []}', "'n' must be an integer"),
+    ("verify", '{"ring": "Z6", "n": 2, "rows": [{"k": "0", "lo": true, "o": 1}]}', "'rows'"),
     ("verify", '{"ring": 6, "n": 2, "rows": []}', "ring literal"),
     ("tables", '{"ring": 6, "n": 2, "rows": []}', "ring literal"),
     ("verify", '{"ring": "Z6", "n": 2, "k": 7, "lo": []}', "'k'"),
     ("verify", '{"ring": "Z6", "n": 2, "k": "1", "lo": 5}', "'lo'"),
     ("verify", None, "directory"),
     ("tables", None, "directory"),
-], ids=["row-without-lo", "row-without-o", "rows-not-list", "ring-not-str",
+], ids=["row-without-lo", "row-without-o", "rows-not-list", "n-bool", "lo-bool", "ring-not-str",
         "golden-ring-not-str", "k-not-str", "lo-not-list", "directory",
         "golden-directory"])
 def test_bad_table_shape_exits_1(tmp_path, capsys, command, text, needle):

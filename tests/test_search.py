@@ -153,6 +153,26 @@ def test_invalid_parameters():
         enumerate_semigroup(Z6, 2, 7, "left")  # element out of range
 
 
+DEGREE_CALLS = {
+    "enumerate_semigroup": lambda n: enumerate_semigroup(Z6, n, 0),
+    "census_table": lambda n: census_table(Z6, n),
+    "enumerate_naive": lambda n: enumerate_naive(Z6, n, 0),
+    "gl_order_bruteforce": lambda n: gl_order_bruteforce(Z6, n),
+    "antiorthogonal_exists": lambda n: antiorthogonal_exists(Z6, n),
+}
+
+
+@pytest.mark.parametrize("entry", DEGREE_CALLS)
+def test_degree_must_be_an_integer_of_at_least_one(entry):
+    call = DEGREE_CALLS[entry]
+    for n, message in [(True, "an integer, got bool"), (False, "an integer, got bool"),
+                       (2.0, "an integer, got float"), ("2", "an integer, got str"),
+                       (None, "an integer, got NoneType"), (0, ">= 1"), (-1, ">= 1")]:
+        with pytest.raises(InvalidParameterError, match=f"degree n must be {message}"):
+            call(n)
+    call(np.int64(1))   # any integral type but bool is a degree
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence (the full sweep lives in the acceptance suite)
 
