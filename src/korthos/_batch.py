@@ -7,6 +7,12 @@ determinants, the search, the censuses, the orthogonality predicates,
 closure, the CRT bijection, the GL sweep, code spans and dual joins all run
 here.  `gram_is_scalar` is the one Gram test behind every k-orthogonality
 check.
+
+Every sum or product of index arrays is one gather from the flat table,
+`_gather`: a ring has order q <= 256, so x*q + y is a ``uint16`` index.  A
+matrix product sums its inner index term by term, so no temporary outgrows
+the result.  Sets of rows are held as `row_keys`, one ``uint64`` per row
+when the row fits in 64 bits, and are matched by `lookup`.
 """
 
 from __future__ import annotations
@@ -41,27 +47,41 @@ def all_tuples(order, length):
     return out
 
 
+def _gather(table, x, y):
+    """table[x, y] for a (q, q) ring table and index arrays (or scalars) x
+    and y, broadcasting: one gather from the flat table at x*q + y, which
+    is at most 65,535 and so a uint16 index for uint8 operands."""
+    return table.ravel()[x * np.uint16(table.shape[1]) + y]
+
+
 def fold_add(ring, t):
     """Ring sum of t along its last axis; zero when that axis is empty."""
     if t.shape[-1] == 0:
         return np.full(t.shape[:-1], ring.zero, dtype=np.uint8)
-    add = ring.add_np
     acc = t[..., 0]
     for j in range(1, t.shape[-1]):
-        acc = add[acc, t[..., j]]
+        acc = _gather(ring.add_np, acc, t[..., j])
     return acc
 
 
 def batch_matmul(ring, a, b):
     """Matrix product over the ring; a is (..., n, m), b is (..., m, p),
-    broadcasting on the leading axes."""
-    t = ring.mul_np[a[..., :, None, :], b.swapaxes(-1, -2)[..., None, :, :]]
-    return fold_add(ring, t)  # t is (..., n, p, m)
+    broadcasting on the leading axes.  The sum runs over the inner index,
+    one (..., n, p) term at a time."""
+    m = a.shape[-1]
+    if m == 0:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        return np.full(shape, ring.zero, dtype=np.uint8)
+    add, mul = ring.add_np, ring.mul_np
+    acc = _gather(mul, a[..., :, 0, None], b[..., 0, None, :])
+    for j in range(1, m):
+        acc = _gather(add, acc, _gather(mul, a[..., :, j, None], b[..., j, None, :]))
+    return acc
 
 
 def batch_dot(ring, u, v):
     """Inner products along the last axis, broadcasting on the rest."""
-    return fold_add(ring, ring.mul_np[u, v])
+    return fold_add(ring, _gather(ring.mul_np, u, v))
 
 
 def det(ring, a):
@@ -74,7 +94,7 @@ def det(ring, a):
     terms = a[..., np.arange(n), perms]          # (..., n!, n)
     prod = np.full(terms.shape[:-1], ring.one, dtype=np.uint8)
     for j in range(n):
-        prod = ring.mul_np[prod, terms[..., j]]
+        prod = _gather(ring.mul_np, prod, terms[..., j])
     return fold_add(ring, np.where(odd, ring.neg_np[prod], prod))
 
 
@@ -103,13 +123,26 @@ def gram_is_scalar(ring, vecs, k):
     return out.reshape(lead)
 
 
-def row_keys(flat):
-    """One fixed-width bytes key per row of a uint8 array, exact at any row
-    length; keys sort like the rows read as tuples."""
-    if flat.shape[-1] == 0:   # a key needs at least one byte; empty rows are all equal
-        flat = np.zeros(flat.shape[:-1] + (1,), dtype=np.uint8)
+def row_keys(flat, order):
+    """One key per row of a uint8 array of indices below `order`: equal
+    exactly for equal rows, and sorting like the rows read as tuples.
+
+    A row of L entries of b = bit_length(order - 1) bits each packs first
+    entry most significant into one uint64 when L*b <= 64, so keys compare
+    as integers.  A wider row keeps its L bytes as one fixed-width bytes
+    key, the only exact key there.  Keys are comparable only between rows
+    of the same length and order.
+    """
+    length = flat.shape[-1]
+    bits = max(1, (order - 1).bit_length())
+    if length * bits <= 64:
+        keys = np.zeros(flat.shape[:-1], dtype=np.uint64)
+        for j in range(length):
+            keys <<= bits
+            keys |= flat[..., j]
+        return keys
     flat = np.ascontiguousarray(flat)
-    return flat.view(np.dtype((np.void, flat.shape[-1])))[..., 0]
+    return flat.view(np.dtype((np.void, length)))[..., 0]
 
 
 def lookup(table, keys):

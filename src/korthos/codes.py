@@ -62,18 +62,18 @@ class LinearCode:
     def sorted_words(self):
         return list(map(tuple, self.array.tolist()))
 
-    @property
+    @cached_property
     def _keys(self):
         """Row keys of the codewords (see `_batch.row_keys`), sorted because
         the array is."""
-        return _batch.row_keys(self.array)
+        return _batch.row_keys(self.array, self.ring.order)
 
     def __contains__(self, word):
         word = tuple(word)
         if len(word) != self.length or not all(
                 isinstance(x, Integral) and 0 <= x < self.ring.order for x in word):
             return False
-        key = _batch.row_keys(np.array(word, dtype=np.uint8))
+        key = _batch.row_keys(np.array(word, dtype=np.uint8), self.ring.order)
         return bool(_batch.lookup(self._keys, key) >= 0)
 
 
@@ -92,7 +92,8 @@ def _combinations(ring, rows):
     acc = np.full((1, width), ring.zero, dtype=np.uint8)
     for row in rows:
         multiples = ring.mul_np[:, row]          # x * row for every x in R
-        acc = ring.add_np[acc[:, None, :], multiples].reshape(len(acc) * ring.order, width)
+        acc = _batch._gather(ring.add_np, acc[:, None, :], multiples)
+        acc = acc.reshape(len(acc) * ring.order, width)
     return acc
 
 
@@ -105,7 +106,7 @@ def _span_words(ring, gen, budget):
             f"spanning {messages} messages exceeds the budget of {budget}"
         )
     words = _combinations(ring, _array(gen))
-    _, first = np.unique(_batch.row_keys(words), return_index=True)
+    _, first = np.unique(_batch.row_keys(words, ring.order), return_index=True)
     return words[first]
 
 
@@ -133,7 +134,7 @@ def _spanning_rows(code):
     doubles the span, and no array outgrows the code."""
     ring, n = code.ring, code.length
     span = np.full((1, n), ring.zero, dtype=np.uint8)
-    span_keys = _batch.row_keys(span)
+    span_keys = _batch.row_keys(span, ring.order)
     outside = np.arange(code.size)
     rows = []
     while True:
@@ -146,11 +147,12 @@ def _spanning_rows(code):
         multiples = ring.mul_np[:, row]
         reps = multiples[:1]
         for m in multiples[1:]:
-            differences = _batch.row_keys(ring.add_np[m, ring.neg_np[reps]])
+            differences = _batch.row_keys(_batch._gather(ring.add_np, m, ring.neg_np[reps]),
+                                          ring.order)
             if (_batch.lookup(span_keys, differences) < 0).all():
                 reps = np.concatenate([reps, m[None]])
-        span = ring.add_np[reps[:, None, :], span[None, :, :]].reshape(-1, n)
-        span_keys = np.sort(_batch.row_keys(span))
+        span = _batch._gather(ring.add_np, reps[:, None, :], span[None, :, :]).reshape(-1, n)
+        span_keys = np.sort(_batch.row_keys(span, ring.order))
 
 
 def dual_code(code, budget=DEFAULT_WORD_BUDGET):
@@ -170,8 +172,8 @@ def dual_code(code, budget=DEFAULT_WORD_BUDGET):
             f"dual join over {halves} half vectors exceeds the budget of {budget}"
         )
     rows = _spanning_rows(code) if code.generator is None else _array(code.generator)
-    left_keys = _batch.row_keys(_combinations(ring, rows[:, :n1].T))
-    right_keys = _batch.row_keys(ring.neg_np[_combinations(ring, rows[:, n1:].T)])
+    left_keys = _batch.row_keys(_combinations(ring, rows[:, :n1].T), q)
+    right_keys = _batch.row_keys(ring.neg_np[_combinations(ring, rows[:, n1:].T)], q)
     by_key = np.argsort(right_keys, kind="stable")
     sorted_keys = right_keys[by_key]
     lo = np.searchsorted(sorted_keys, left_keys, "left")

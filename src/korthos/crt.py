@@ -115,7 +115,7 @@ class CrtSplit:
             for j, f in enumerate(self.factors):
                 x = fwd[:, j]
                 if not np.array_equal(fwd[getattr(R, table), j],
-                                      getattr(f, table)[x[:, None], x[None, :]]):
+                                      _batch._gather(getattr(f, table), x[:, None], x[None, :])):
                     raise InvariantViolationError(f"CRT map does not preserve {name}")
 
 
@@ -136,9 +136,9 @@ def split(ring):
         factors = [F, F]
         a, b = ring.components(e)
         if ring.v_square == "v":
-            images = [F.add_np[a, b], a]
+            images = [_batch._gather(F.add_np, a, b), a]
         else:
-            images = [F.add_np[a, F.neg_np[b]], F.add_np[a, b]]
+            images = [_batch._gather(F.add_np, a, F.neg_np[b]), _batch._gather(F.add_np, a, b)]
     elif isinstance(ring, ProductRing):
         factors = list(ring.components_rings)
         images = np.unravel_index(e, [f.order for f in factors])
@@ -166,6 +166,14 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     The factor parameters a_j are always computed as forward(k); the factor
     censuses use the independent brute-force counter when feasible, the
     pruned search otherwise.  `nodes` sums the nodes of every pruned search.
+
+    The bijection is checked backwards, by one join: when the counts agree,
+    every tuple of factor elements is mapped entrywise through the inverse
+    of the split to its source matrix, and the sorted keys of those matrices
+    must be strictly increasing and equal to the census's keys.  `split`
+    has verified that the entry map is a bijection, so this holds exactly
+    when every element's image lies in the product of the factor censuses
+    and distinct elements have distinct images.
     """
     ring.check_element(k)
     if ring.mul(k, k) != k:
@@ -190,16 +198,19 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     factor_counts = [len(arr) for arr in factor_arrays]
     product = math.prod(factor_counts)
 
-    # images[e, :, j] is the j-th factor image of the e-th direct element;
-    # the factor arrays are in canonical order, so their keys are sorted
-    images = crt_split.forward_np[direct.array.reshape(-1, n * n)]
-    bijection_ok = direct.count == product and all(
-        (_batch.lookup(_batch.row_keys(arr), _batch.row_keys(images[:, :, j])) >= 0).all()
-        for j, arr in enumerate(factor_arrays))
+    bijection_ok = direct.count == product
     if bijection_ok:
-        # distinct elements must have distinct image tuples
-        keys = np.sort(_batch.row_keys(images.reshape(direct.count, -1)))
-        bijection_ok = bool((keys[1:] != keys[:-1]).all())
+        # the source matrix of every tuple of factor elements, entrywise
+        # through the inverse map: code is the mixed-radix code of the parts
+        code = np.zeros((1, n * n), dtype=np.uint16)
+        for factor, arr in zip(crt_split.factors, factor_arrays):
+            code = (code[:, None, :] * np.uint16(factor.order) + arr).reshape(-1, n * n)
+        # split verified the entry map, so every code has a source element
+        source = crt_split._inverse.astype(np.uint8)[code]
+        keys = np.sort(_batch.row_keys(source, ring.order))
+        # strictly increasing keys belong to distinct source matrices
+        bijection_ok = bool((keys[1:] != keys[:-1]).all()
+                            and np.array_equal(keys, direct._keys))
 
     return {
         "ring": ring.literal,

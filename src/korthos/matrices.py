@@ -107,7 +107,7 @@ class Mat:
         self._require_same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in matrix addition")
-        return _mat(self.ring, self.ring.add_np[_array(self), _array(other)])
+        return _mat(self.ring, _batch._gather(self.ring.add_np, _array(self), _array(other)))
 
     __add__ = add
 
@@ -116,7 +116,7 @@ class Mat:
 
     def scale(self, k):
         self.ring.check_element(k)
-        return _mat(self.ring, self.ring.mul_np[k, _array(self)])
+        return _mat(self.ring, _batch._gather(self.ring.mul_np, k, _array(self)))
 
     def det(self):
         """Determinant, for square matrices up to `_batch.DET_CAP` rows."""

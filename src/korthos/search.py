@@ -136,17 +136,18 @@ class SemigroupCensus:
             raise InvariantViolationError("search bug: the listing and counting walks differ")
         if self.side != "right":
             arr = arr.swapaxes(1, 2)                 # chosen vectors as columns
-        return arr[np.argsort(_batch.row_keys(arr.reshape(-1, n * n)), kind="stable")]
+        keys = _batch.row_keys(arr.reshape(-1, n * n), self.ring.order)
+        return arr[np.argsort(keys, kind="stable")]
 
     @cached_property
     def elements(self):
         return [_mat(self.ring, a) for a in self.array]
 
-    @property
+    @cached_property
     def _keys(self):
         """Row keys of the elements (see `_batch.row_keys`), sorted because
         the array is in canonical order."""
-        return _batch.row_keys(self.array.reshape(-1, self.n * self.n))
+        return _batch.row_keys(self.array.reshape(-1, self.n * self.n), self.ring.order)
 
     def element_set(self):
         return set(self.elements)
@@ -155,7 +156,7 @@ class SemigroupCensus:
         if not (isinstance(mat, Mat) and mat.ring == self.ring
                 and mat.rows == mat.cols == self.n):
             return False
-        key = _batch.row_keys(np.array(mat.entries, dtype=np.uint8))
+        key = _batch.row_keys(np.array(mat.entries, dtype=np.uint8), self.ring.order)
         return bool(_batch.lookup(self._keys, key) >= 0)
 
 
@@ -223,7 +224,7 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     probe = hit.argmax(axis=1) if hit.any(axis=1).all() else None   # kI's columns
     if two_sided:
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
-        keys = _batch.row_keys(outer.reshape(m, n * n))
+        keys = _batch.row_keys(outer.reshape(m, n * n), ring.order)
         classes = np.sort(keys)
         cls = _batch.lookup(classes, keys)
     block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), np.zeros((1, n, n), np.uint8))
@@ -238,7 +239,8 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
         else:
             leaves = allowed   # the children; by j, two-sided when c_j c_j^T = kI - gram
             if two_sided:
-                need = _batch.row_keys(ring.add_np[target, ring.neg_np[gram]].reshape(-1, n * n))
+                need = _batch._gather(ring.add_np, target, ring.neg_np[gram])
+                need = _batch.row_keys(need.reshape(-1, n * n), ring.order)
                 leaves = allowed & (cls == _batch.lookup(classes, need)[:, None])
             if probe is not None:
                 seen = seen or bool(leaves[(paths == probe[:-1]).all(axis=1), probe[-1]].any())
@@ -248,7 +250,7 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
         (paths, allowed, gram), piece = stack.pop()
         f, j = np.divmod(piece, m)
         block = (np.column_stack([paths[f], j]), allowed[f] & adj[j],
-                 ring.add_np[gram[f], outer[j]] if two_sided else gram)
+                 _batch._gather(ring.add_np, gram[f], outer[j]) if two_sided else gram)
     if ring.mul(k, k) == k and not seen:
         raise InvariantViolationError(
             f"search bug: scalar matrix missing from census over {ring.literal}"
@@ -314,10 +316,10 @@ def _naive_array(ring, n, k, side="left"):
     np.fill_diagonal(target, k)
     mask = np.ones((len(rows),) * n, dtype=bool)
     if side != "right":                                   # A^T A = kI
-        outer = ring.mul_np[rows[:, :, None], rows[:, None, :]]
+        outer = _batch._gather(ring.mul_np, rows[:, :, None], rows[:, None, :])
         gram = outer[grid[0]]
         for r in grid[1:]:
-            gram = ring.add_np[gram, outer[r]]
+            gram = _batch._gather(ring.add_np, gram, outer[r])
         mask &= (gram == target).all(axis=(-2, -1))
     if side != "left":                                    # A A^T = kI
         dots = _batch.batch_dot(ring, rows[:, None, :], rows[None, :, :])
@@ -340,8 +342,10 @@ def verify_closure(census):
     The check runs on column indices (row indices for a right census, which
     is closed exactly when its transposes are).  Each element is the n-tuple
     of the indices of its columns among the m_c distinct columns the census
-    uses, and column j of AB is A times column j of B.  So A*c is formed once
-    for every element A and used column c and mapped to its index; a product
+    uses, numbered in the order of their row keys; one `np.unique` gives the
+    numbering, the tuples and a first occurrence of each used column.
+    Column j of AB is A times column j of B.  So A*c is formed once for
+    every element A and used column c and mapped to its index; a product
     is an element when its tuple of images is one, which a prefix tree of the
     elements' tuples decides: `step[j][p * m_c + c]` is the child by column c
     of node p of depth j, or the dead node 0.  For a block of A the tree is
@@ -351,8 +355,9 @@ def verify_closure(census):
     """
     ring, n, m = census.ring, census.n, census.count
     mats = census.array if census.side != "right" else census.array.swapaxes(1, 2)
-    cols, code = np.unique(_batch.row_keys(mats.swapaxes(1, 2).reshape(-1, n)),
-                           return_inverse=True)
+    columns = mats.swapaxes(1, 2).reshape(-1, n)
+    cols, first, code = np.unique(_batch.row_keys(columns, ring.order),
+                                  return_index=True, return_inverse=True)
     code = code.reshape(m, n)
     mc = len(cols)
     limit = resolve_budget()
@@ -360,25 +365,27 @@ def verify_closure(census):
         raise BudgetExceededError(
             f"closure of {m} elements over {mc} columns needs {m * mc} images and "
             f"{m * m} product lookups, over the node budget of {limit}")
-    vecs = cols.view(np.uint8).reshape(mc, n).T          # used columns, side by side
+    vecs = columns[first].T                              # used columns, side by side
     image = np.empty((m, mc), dtype=np.int32)            # index of A*c, or -1
     for part in _batch.chunks(m, mc * n * n):
         prod = _batch.batch_matmul(ring, mats[part], vecs)
-        image[part] = _batch.lookup(cols, _batch.row_keys(prod.swapaxes(1, 2)))
+        image[part] = _batch.lookup(cols, _batch.row_keys(prod.swapaxes(1, 2), ring.order))
     # the nodes of depth j + 1 are the distinct (parent, column) pairs of the
-    # elements; nodes are numbered from 1 at every depth, the root is node 1
+    # elements; nodes are numbered from 1 at every depth, the root is node 1.
+    # The walk is memory bound, so it runs on int32 whenever its indices fit.
+    walk = np.int32 if (m + 1) * mc < 2 ** 31 else np.intp
     node, size, step = np.ones(m, dtype=np.intp), 1, []
     for j in range(n):
         pairs, child = np.unique(node * mc + code[:, j], return_inverse=True)
-        table = np.zeros((size + 1) * mc, dtype=np.intp)
+        table = np.zeros((size + 1) * mc, dtype=walk)
         table[pairs] = np.arange(1, len(pairs) + 1)
         step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
         node, size = child + 1, len(pairs)
     ok = bool((image >= 0).all())
-    for part in _batch.chunks(m, 8 * m):                  # intp blocks of CHUNK bytes
+    for part in _batch.chunks(m, 16 * m):                 # blocks of CHUNK / 16 nodes
         if not ok:
             break
-        at = np.ones((len(image[part]), 1), dtype=np.intp)   # the root, for each A
+        at = np.ones((len(image[part]), 1), dtype=walk)      # the root, for each A
         for table, parent, col in step:
             at = table[at[:, parent - 1] * mc + image[part][:, col]]
         ok = bool(at.all())
@@ -401,9 +408,9 @@ def verify_group(census):
         census.checks["is_group"] = False
         return {"is_group": False, "identity": None, "inverse_witnesses": {}}
     transposes = arr.swapaxes(1, 2)
+    keys = _batch.row_keys(transposes.reshape(-1, n * n), ring.order)
     ok = bool(_batch.gram_is_scalar(ring, arr, ring.one).all()
-              and (_batch.lookup(census._keys,
-                                 _batch.row_keys(transposes.reshape(-1, n * n))) >= 0).all())
+              and (_batch.lookup(census._keys, keys) >= 0).all())
     census.checks["is_group"] = ok
     witnesses = dict(zip(census.elements, (_mat(ring, a) for a in transposes))) if ok else {}
     return {"is_group": ok, "identity": ident, "inverse_witnesses": witnesses}
@@ -411,12 +418,17 @@ def verify_group(census):
 
 def transpose_bijection_check(left_census, right_census):
     """True iff transposition maps the left census bijectively onto the right."""
+    if (left_census.side, right_census.side) != ("left", "right"):
+        raise InvalidParameterError(
+            f"transpose check needs a left and a right census, "
+            f"got {left_census.side} and {right_census.side}")
     if (left_census.ring, left_census.n, left_census.k) != (
             right_census.ring, right_census.n, right_census.k):
         raise InvalidParameterError("censuses must share ring, degree and k")
     n = left_census.n
     transposed = left_census.array.swapaxes(1, 2).reshape(-1, n * n)
-    return np.array_equal(np.sort(_batch.row_keys(transposed)), right_census._keys)
+    keys = _batch.row_keys(transposed, left_census.ring.order)
+    return np.array_equal(np.sort(keys), right_census._keys)
 
 
 def disjoint_or_equal_check(ring, n, k, k2, side="left", budget=None):

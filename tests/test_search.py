@@ -225,10 +225,10 @@ def test_closure_of_idempotent_censuses():
 def _closure_by_products(census):
     """Reference closure: form every product and look it up by row key."""
     arr, n = census.array, census.n
-    keys = _batch.row_keys(arr.reshape(-1, n * n))
+    keys = _batch.row_keys(arr.reshape(-1, n * n), census.ring.order)
     for part in _batch.chunks(len(arr), len(arr) * n ** 3):
         prod = _batch.batch_matmul(census.ring, arr[part, None], arr[None])
-        if not np.isin(_batch.row_keys(prod.reshape(-1, n * n)), keys).all():
+        if not np.isin(_batch.row_keys(prod.reshape(-1, n * n), census.ring.order), keys).all():
             return False
     return True
 
@@ -324,7 +324,7 @@ def test_empty_census_is_closed():
 
 def test_closure_over_the_budget_is_a_hard_error(monkeypatch):
     census = enumerate_semigroup(Z6, 3, 4, "left")
-    used = len(np.unique(_batch.row_keys(census.array.swapaxes(1, 2).reshape(-1, 3))))
+    used = len(np.unique(_batch.row_keys(census.array.swapaxes(1, 2).reshape(-1, 3), 6)))
     charge = census.count * used + census.count ** 2
     monkeypatch.setenv("KORTHOS_BUDGET", str(charge))
     assert verify_closure(census) is True
