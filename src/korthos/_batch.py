@@ -49,19 +49,25 @@ def all_tuples(order, length):
 
 def _gather(table, x, y):
     """table[x, y] for a (q, q) ring table and index arrays (or scalars) x
-    and y, broadcasting: one gather from the flat table at x*q + y, which
-    is at most 65,535 and so a uint16 index for uint8 operands."""
+    and y, broadcasting: one gather from the flat table at x*q + y.  That
+    is at most 65,535, and NumPy 2 promotes uint8 operands times a uint16
+    q to uint16, so the index is uint16."""
     return table.ravel()[x * np.uint16(table.shape[1]) + y]
 
 
 def fold_add(ring, t):
-    """Ring sum of t along its last axis; zero when that axis is empty."""
+    """Ring sum of t along its last axis; zero when that axis is empty.
+    Each round adds the second half of the terms onto the first (an odd
+    last term onto the first sum), so L terms take about log2 L gathers."""
     if t.shape[-1] == 0:
         return np.full(t.shape[:-1], ring.zero, dtype=np.uint8)
-    acc = t[..., 0]
-    for j in range(1, t.shape[-1]):
-        acc = _gather(ring.add_np, acc, t[..., j])
-    return acc
+    while t.shape[-1] > 1:
+        half = t.shape[-1] // 2
+        sums = _gather(ring.add_np, t[..., :half], t[..., half:2 * half])
+        if t.shape[-1] % 2:
+            sums[..., 0] = _gather(ring.add_np, sums[..., 0], t[..., -1])
+        t = sums
+    return t[..., 0]
 
 
 def batch_matmul(ring, a, b):

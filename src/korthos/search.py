@@ -373,11 +373,11 @@ def verify_closure(census):
     # the nodes of depth j + 1 are the distinct (parent, column) pairs of the
     # elements; nodes are numbered from 1 at every depth, the root is node 1.
     # The walk is memory bound, so it runs on int32 whenever its indices fit.
-    walk = np.int32 if (m + 1) * mc < 2 ** 31 else np.intp
+    index = np.int32 if (m + 1) * mc < 2 ** 31 else np.intp
     node, size, step = np.ones(m, dtype=np.intp), 1, []
     for j in range(n):
         pairs, child = np.unique(node * mc + code[:, j], return_inverse=True)
-        table = np.zeros((size + 1) * mc, dtype=walk)
+        table = np.zeros((size + 1) * mc, dtype=index)
         table[pairs] = np.arange(1, len(pairs) + 1)
         step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
         node, size = child + 1, len(pairs)
@@ -385,7 +385,7 @@ def verify_closure(census):
     for part in _batch.chunks(m, 16 * m):                 # blocks of CHUNK / 16 nodes
         if not ok:
             break
-        at = np.ones((len(image[part]), 1), dtype=walk)      # the root, for each A
+        at = np.ones((len(image[part]), 1), dtype=index)     # the root, for each A
         for table, parent, col in step:
             at = table[at[:, parent - 1] * mc + image[part][:, col]]
         ok = bool(at.all())

@@ -23,6 +23,8 @@ from korthos import (
     split,
     verify_semigroup_isomorphism,
 )
+from korthos import crt
+from korthos.search import SemigroupCensus
 
 from helpers import det_rec, ring_family
 
@@ -209,6 +211,31 @@ def test_k_one_product_agrees_with_orthogonal_group_order():
     report = verify_semigroup_isomorphism(Z6, 2, 1, side="two_sided")
     assert report["bijection_ok"]
     assert report["product"] == orth_group_order(Z6, 2) == 16
+
+
+@pytest.mark.parametrize("doctor", ["non_element", "duplicate"])
+def test_bijection_fails_on_a_doctored_direct_census(monkeypatch, doctor):
+    # the direct census keeps its count but loses an element: either a
+    # non-element takes its place (the zero matrix, whose Z3 part is not
+    # 1-orthogonal) or a neighbour is listed twice
+    enumerate_direct = crt.enumerate_semigroup
+
+    def doctored(ring, n, k, side, budget=None):
+        census = enumerate_direct(ring, n, k, side, budget=budget)
+        arr = census.array.copy()
+        if doctor == "duplicate":
+            arr[1] = arr[0]
+        else:
+            arr[0] = ring.zero
+            flat = arr.reshape(len(arr), -1)
+            arr = arr[np.lexsort(flat.T[::-1])]        # back to canonical order
+        return SemigroupCensus(ring, n, k, census.side, _array=arr, nodes=census.nodes)
+
+    monkeypatch.setattr(crt, "enumerate_semigroup", doctored)
+    report = verify_semigroup_isomorphism(Z6, 2, 4)
+    assert report["factor_counts"] == [4, 8]
+    assert report["product"] == 32 == report["direct_count"]
+    assert report["bijection_ok"] is False
 
 
 def test_non_idempotent_k_rejected():

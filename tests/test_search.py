@@ -471,6 +471,19 @@ def test_transpose_bijection():
     assert transpose_bijection_check(lo3, ro3)
 
 
+def test_transpose_bijection_needs_a_left_and_a_right_census():
+    # LO_2(0, Z4) is closed under transposition, so a check of lo against
+    # itself would answer True for a bijection onto the right census that
+    # it never compared
+    z4 = make_zmod(4)
+    lo, ro, two = (enumerate_semigroup(z4, 2, 0, side) for side in SIDES)
+    for a, b in [(lo, lo), (ro, ro), (ro, lo), (lo, two), (two, ro)]:
+        with pytest.raises(InvalidParameterError,
+                           match=f"needs a left and a right census, got {a.side} and {b.side}"):
+            transpose_bijection_check(a, b)
+    assert transpose_bijection_check(lo, ro)
+
+
 def test_disjoint_or_equal():
     assert disjoint_or_equal_check(R2, 2, ONE_PLUS_V, V) == "disjoint"
     assert disjoint_or_equal_check(R2, 2, V, V) == "equal"
