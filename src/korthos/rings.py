@@ -220,7 +220,7 @@ class Ring:
 
     # element arithmetic ----------------------------------------------------
     def check_element(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.order:
             raise RingMismatchError(f"{a!r} is not an element index of {self.literal}")
         return a
 

@@ -18,8 +18,11 @@ returns nothing partial.  Every stage charges its nodes before it allocates,
 so an oversize search fails at once, and the error names the budget, the
 nodes counted and the nodes per stage.  `enumerate_naive` is the
 independent brute-force oracle: it tests every one of the |R|^(n*n)
-matrices directly against the defining equation, reading each Gram off
-tables over the |R|^n rows instead of forming the matrix products.
+matrices directly against the defining equation without forming the matrix
+products.  A^T A = kI is a meet-in-the-middle join: the key of kI minus the
+outer-product sum of the first half of the rows must equal the key of the
+sum of the second half.  A A^T is read off a table of the inner products of
+the |R|^n rows.
 
 The checks on a listed census run on index arrays.  `verify_closure` holds
 each element as the tuple of the indices of its columns among the columns
@@ -121,8 +124,12 @@ class SemigroupCensus:
 
     @cached_property
     def array(self):
-        if self._array is not None:
-            return self._array
+        return self._array if self._array is not None else self._listing[0]
+
+    @cached_property
+    def _listing(self):
+        """List the elements by a second walk: (array, keys), both in
+        canonical order, the keys being the ones the array was sorted by."""
         # the listing walk must agree with the count and the nodes (its budget)
         n = self.n
         counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
@@ -137,7 +144,8 @@ class SemigroupCensus:
         if self.side != "right":
             arr = arr.swapaxes(1, 2)                 # chosen vectors as columns
         keys = _batch.row_keys(arr.reshape(-1, n * n), self.ring.order)
-        return arr[np.argsort(keys, kind="stable")]
+        order = np.argsort(keys, kind="stable")
+        return arr[order], keys[order]
 
     @cached_property
     def elements(self):
@@ -146,8 +154,10 @@ class SemigroupCensus:
     @cached_property
     def _keys(self):
         """Row keys of the elements (see `_batch.row_keys`), sorted because
-        the array is in canonical order."""
-        return _batch.row_keys(self.array.reshape(-1, self.n * self.n), self.ring.order)
+        the array is in canonical order; a listed census keeps its sort keys."""
+        if self._array is None:
+            return self._listing[1]
+        return _batch.row_keys(self._array.reshape(-1, self.n * self.n), self.ring.order)
 
     def element_set(self):
         return set(self.elements)
@@ -303,30 +313,47 @@ def _naive_array(ring, n, k, side="left"):
     """`enumerate_naive` as an (m, n, n) index array.
 
     A matrix is a tuple of n rows among the |R|^n vectors of R^n, so the
-    sweep is a broadcast grid with one axis per row, in lexicographic order,
-    and each side's Gram is read off tables over the rows: A^T A is the ring
-    sum of the outer products r_i^T r_i, and (A A^T)[i, j] is <r_i, r_j>.
+    sweep is a broadcast grid with one axis per row, in lexicographic order.
+    A^T A is the ring sum of the outer products r_i^T r_i, so it is kI
+    exactly when the sum over the first h = n // 2 rows equals kI minus the
+    sum over the other n - h: the left test keys kI minus each of the
+    |R|^(n*h) head sums and each of the |R|^(n*(n-h)) tail sums, and compares
+    every head key with every tail key.  (A A^T)[i, j] is <r_i, r_j>, read
+    off a table over the rows for i <= j only: the ring is commutative, so
+    the table is symmetric.
     """
     _check_sweep(ring, n)
     ring.check_element(k)
     side = normalize_side(side)
     rows = _batch.all_tuples(ring.order, n)
-    grid = np.ix_(*[np.arange(len(rows))] * n)          # r_i runs along axis i
+    shape = (len(rows),) * n                              # r_i runs along axis i
     target = np.full((n, n), ring.zero, dtype=np.uint8)
     np.fill_diagonal(target, k)
-    mask = np.ones((len(rows),) * n, dtype=bool)
+    mask = np.ones(shape, dtype=bool)
     if side != "right":                                   # A^T A = kI
         outer = _batch._gather(ring.mul_np, rows[:, :, None], rows[:, None, :])
-        gram = outer[grid[0]]
-        for r in grid[1:]:
-            gram = _batch._gather(ring.add_np, gram, outer[r])
-        mask &= (gram == target).all(axis=(-2, -1))
+        h = n // 2
+        need = _batch._gather(ring.add_np, target, ring.neg_np[_outer_sums(ring, outer, h)])
+        head, tail = (_batch.row_keys(s.reshape(-1, n * n), ring.order)
+                      for s in (need, _outer_sums(ring, outer, n - h)))
+        mask &= (head[:, None] == tail[None, :]).reshape(shape)
     if side != "left":                                    # A A^T = kI
         dots = _batch.batch_dot(ring, rows[:, None, :], rows[None, :, :])
+        grid = np.ix_(*[np.arange(len(rows))] * n)
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 mask &= dots[grid[i], grid[j]] == target[i, j]
-    return rows[np.argwhere(mask)]
+    return rows[np.stack(np.unravel_index(np.flatnonzero(mask), shape), axis=-1)]
+
+
+def _outer_sums(ring, outer, count):
+    """The ring sums of `count` of the (|R|^n, n, n) outer products, one per
+    tuple of rows in lexicographic order, as a (|R|^(n*count), n, n) array."""
+    n = outer.shape[-1]
+    sums = np.full((1, n, n), ring.zero, dtype=np.uint8)
+    for _ in range(count):
+        sums = _batch._gather(ring.add_np, sums[:, None], outer[None]).reshape(-1, n, n)
+    return sums
 
 
 # ---------------------------------------------------------------------------

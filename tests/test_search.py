@@ -15,6 +15,7 @@ from korthos import (
     InvariantViolationError,
     Mat,
     NotApplicableError,
+    RingMismatchError,
     antiorthogonal_exists,
     census_table,
     circulant_characterization_check,
@@ -33,6 +34,7 @@ from korthos import (
     transpose_bijection_check,
     verify_closure,
     verify_group,
+    verify_semigroup_isomorphism,
 )
 from korthos import _batch, search
 from korthos.search import SIDES, SemigroupCensus, resolve_budget
@@ -173,6 +175,24 @@ def test_degree_must_be_an_integer_of_at_least_one(entry):
     call(np.int64(1))   # any integral type but bool is a degree
 
 
+ELEMENT_CALLS = {
+    "enumerate_semigroup": lambda k: enumerate_semigroup(Z6, 2, k),
+    "enumerate_naive": lambda k: enumerate_naive(Z6, 2, k),
+    "verify_semigroup_isomorphism": lambda k: verify_semigroup_isomorphism(Z6, 2, k),
+    "Mat.from_rows": lambda k: Mat.from_rows(Z6, [[k, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("entry", ELEMENT_CALLS)
+def test_a_bool_is_not_a_ring_element(entry):
+    # True == 1 and False == 0 as ints, but neither is an element index
+    call = ELEMENT_CALLS[entry]
+    for k in (True, False):
+        with pytest.raises(RingMismatchError, match=f"{k} is not an element index of Z6"):
+            call(k)
+    call(1)
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence (the full sweep lives in the acceptance suite)
 
@@ -196,7 +216,8 @@ def _naive_by_products(ring, n, k, side):
 
 
 @pytest.mark.parametrize("ring,n", [(ring, n) for ring in ring_family() for n in (1, 2)]
-                         + [(make_zmod(4), 3), (make_zmod(3), 3), (make_galois_field(2), 3)],
+                         + [(make_zmod(4), 3), (make_zmod(3), 3), (make_galois_field(2), 3),
+                            (make_galois_field(2), 4)],   # two rows on each side of the join
                          ids=lambda x: getattr(x, "literal", str(x)))
 @pytest.mark.parametrize("side", SIDES)
 def test_naive_sweep_matches_forming_every_gram(ring, n, side):
@@ -205,6 +226,25 @@ def test_naive_sweep_matches_forming_every_gram(ring, n, side):
         expected = _naive_by_products(ring, n, k, side)
         assert naive.dtype == expected.dtype and naive.shape == expected.shape
         assert naive.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("first", ["array", "_keys"])
+def test_census_keys_are_the_keys_its_listing_sorted_by(side, first, monkeypatch):
+    census = enumerate_semigroup(Z6, 2, 0, side)
+    assert census.count > 1
+    getattr(census, first)
+
+    def refuse(*args):
+        raise AssertionError("the listing keys every element once")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_batch, "row_keys", refuse)
+        keys, array = census._keys, census.array
+    assert np.array_equal(keys, _batch.row_keys(array.reshape(-1, 4), Z6.order))
+    assert (keys[1:] > keys[:-1]).all()
+    given = SemigroupCensus(Z6, 2, 0, side, array.copy())   # keyed on first use
+    assert np.array_equal(given._keys, keys)
 
 
 def test_naive_cap():
