@@ -26,10 +26,13 @@ the |R|^n rows.
 
 The checks on a listed census run on index arrays.  `verify_closure` holds
 each element as the tuple of the indices of its columns among the columns
-the census uses, forms A*c once per element A and used column c, and walks
-every product AB through a prefix tree of the elements' tuples by gathers,
-so it never forms the m*m products; `verify_group` is one batched Gram test
-and one lookup of the transposes.
+the census uses and each element A as the map c -> A*c on them, read off
+one table of inner products.  Elements with equal maps have equal products
+with every B, so each distinct map is walked once through a prefix tree of
+the elements' tuples, built to depth n - 1; there the last columns below a
+node are one bitmask, and all products through the node pass or fail by
+one subset test.  It never forms the m*m products.  `verify_group` is one
+batched Gram test and one lookup of the transposes.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ class SemigroupCensus:
 
     `array` holds the elements as one (count, n, n) uint8 array of entry
     indices in canonical order (lexicographic by row-major entries), listed
-    on first use; `elements` lists them as `Mat` views.  `checks` values are
+    on first use or, for a census built from an array, that array sorted;
+    `elements` lists them as `Mat` views.  `checks` values are
     True/False once the corresponding verification has run, else None.
     """
 
@@ -124,12 +128,22 @@ class SemigroupCensus:
 
     @cached_property
     def array(self):
-        return self._array if self._array is not None else self._listing[0]
+        return self._listing[0]
 
     @cached_property
     def _listing(self):
-        """List the elements by a second walk: (array, keys), both in
-        canonical order, the keys being the ones the array was sorted by."""
+        """(array, keys): the elements in canonical order and their row keys
+        (see `_batch.row_keys`), sorted together once.  A census built from
+        an array sorts that array, duplicates kept; any other lists its
+        elements by a second walk."""
+        n = self.n
+        arr = self._array if self._array is not None else self._walk_listing()
+        keys = _batch.row_keys(arr.reshape(-1, n * n), self.ring.order)
+        order = np.argsort(keys, kind="stable")
+        return arr[order], keys[order]
+
+    def _walk_listing(self):
+        """The elements as a (count, n, n) array, in the walk's order."""
         # the listing walk must agree with the count and the nodes (its budget)
         n = self.n
         counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
@@ -141,11 +155,7 @@ class SemigroupCensus:
         arr = cands[np.concatenate(parts)]           # chosen vectors as rows
         if (len(arr), counter.spent) != (self.count, self.nodes):
             raise InvariantViolationError("search bug: the listing and counting walks differ")
-        if self.side != "right":
-            arr = arr.swapaxes(1, 2)                 # chosen vectors as columns
-        keys = _batch.row_keys(arr.reshape(-1, n * n), self.ring.order)
-        order = np.argsort(keys, kind="stable")
-        return arr[order], keys[order]
+        return arr if self.side == "right" else arr.swapaxes(1, 2)   # vectors as columns
 
     @cached_property
     def elements(self):
@@ -153,11 +163,7 @@ class SemigroupCensus:
 
     @cached_property
     def _keys(self):
-        """Row keys of the elements (see `_batch.row_keys`), sorted because
-        the array is in canonical order; a listed census keeps its sort keys."""
-        if self._array is None:
-            return self._listing[1]
-        return _batch.row_keys(self._array.reshape(-1, self.n * self.n), self.ring.order)
+        return self._listing[1]
 
     def element_set(self):
         return set(self.elements)
@@ -369,55 +375,97 @@ def verify_closure(census):
     The check runs on column indices (row indices for a right census, which
     is closed exactly when its transposes are).  Each element is the n-tuple
     of the indices of its columns among the m_c distinct columns the census
-    uses, numbered in the order of their row keys; one `np.unique` gives the
-    numbering, the tuples and a first occurrence of each used column.
-    Column j of AB is A times column j of B.  So A*c is formed once for
-    every element A and used column c and mapped to its index; a product
-    is an element when its tuple of images is one, which a prefix tree of the
-    elements' tuples decides: `step[j][p * m_c + c]` is the child by column c
-    of node p of depth j, or the dead node 0.  For a block of A the tree is
-    walked for B and AB together, so depth j gathers one entry per pair of A
-    and distinct j-prefix of B, and only the last depth does m*m work.  The
-    m*m_c images and m*m products are charged to the node budget first.
+    uses, numbered in the order of their row keys.  Column j of AB is A
+    times column j of B, so AB is an element exactly when the tuple of the
+    images of B's columns under A is one.  A acts on the used columns as a
+    map sigma read off one table of the inner products of the distinct rows
+    of the elements with the used columns; an image outside them fails at
+    once.  Elements with equal maps have equal products with every B, so
+    each distinct map is tested once (`_closed`).  The m*m_c images and m*m
+    products are charged to the node budget first.
     """
     ring, n, m = census.ring, census.n, census.count
     mats = census.array if census.side != "right" else census.array.swapaxes(1, 2)
     columns = mats.swapaxes(1, 2).reshape(-1, n)
     cols, first, code = np.unique(_batch.row_keys(columns, ring.order),
                                   return_index=True, return_inverse=True)
-    code = code.reshape(m, n)
     mc = len(cols)
     limit = resolve_budget()
     if m * mc + m * m > limit:
         raise BudgetExceededError(
             f"closure of {m} elements over {mc} columns needs {m * mc} images and "
             f"{m * m} product lookups, over the node budget of {limit}")
-    vecs = columns[first].T                              # used columns, side by side
-    image = np.empty((m, mc), dtype=np.int32)            # index of A*c, or -1
-    for part in _batch.chunks(m, mc * n * n):
-        prod = _batch.batch_matmul(ring, mats[part], vecs)
-        image[part] = _batch.lookup(cols, _batch.row_keys(prod.swapaxes(1, 2), ring.order))
+    ok = m == 0 or _closed(ring, mats, cols, columns[first], code.reshape(m, n))
+    census.checks["closure_verified"] = ok
+    return ok
+
+
+def _closed(ring, mats, cols, vecs, code):
+    """`verify_closure` of a nonempty census: `mats` (m, n, n) its elements
+    acting on the used columns `vecs` (m_c, n), whose sorted keys are
+    `cols`, and `code` (m, n) the indices of each element's columns.
+
+    A prefix tree of the elements' tuples is built to depth n - 1:
+    `step[j][p * m_c + c]` is the child by column c of node p of depth j, or
+    the dead node 0.  The last columns below a node of depth n - 1 are its
+    bitmask of ceil(m_c / 64) words, and nodes with equal masks form one
+    state.  For B below node p, AB is an element iff sigma walks p's path
+    to a live node t and sigma(b_n) is a last column below t; the b_n below
+    p are exactly the columns of p's state.  So every AB passes iff the OR
+    of the bits sigma(c) over the columns c of p's state lies in t's mask:
+    one subset test per map and node, the dead node having the empty mask.
+    """
+    (m, n), mc = code.shape, len(cols)
+    rows = mats.reshape(-1, n)
+    _, first, row = np.unique(_batch.row_keys(rows, ring.order),
+                              return_index=True, return_inverse=True)
+    rows = rows[first]
+    dots = np.empty((len(rows), mc), dtype=np.uint8)     # <row r, column c>
+    for part in _batch.chunks(len(rows), mc * n):
+        dots[part] = _batch.batch_dot(ring, rows[part, None, :], vecs[None, :, :])
+    # rows with equal inner products act alike on every used column, and so
+    # do elements whose rows do: one map sigma per distinct tuple of classes
+    _, first, cls = np.unique(dots.view(np.dtype((np.void, mc)))[:, 0],
+                              return_index=True, return_inverse=True)
+    act = cls[row].reshape(m, n)
+    _, once = np.unique(act.view(np.dtype((np.void, act.itemsize * n)))[:, 0], return_index=True)
+    dots, act = dots[first].T.copy(), act[once]
+    maps = np.empty((len(act), mc), dtype=np.intp)       # index of sigma(c), or -1
+    for part in _batch.chunks(len(act), mc * n):
+        maps[part] = _batch.lookup(cols, _batch.row_keys(dots[:, act[part]], ring.order)).T
+    if (maps < 0).any():
+        return False
     # the nodes of depth j + 1 are the distinct (parent, column) pairs of the
-    # elements; nodes are numbered from 1 at every depth, the root is node 1.
-    # The walk is memory bound, so it runs on int32 whenever its indices fit.
-    index = np.int32 if (m + 1) * mc < 2 ** 31 else np.intp
+    # elements; nodes are numbered from 1 at every depth, the root is node 1
     node, size, step = np.ones(m, dtype=np.intp), 1, []
-    for j in range(n):
+    for j in range(n - 1):
         pairs, child = np.unique(node * mc + code[:, j], return_inverse=True)
-        table = np.zeros((size + 1) * mc, dtype=index)
+        table = np.zeros((size + 1) * mc, dtype=np.intp)
         table[pairs] = np.arange(1, len(pairs) + 1)
         step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
         node, size = child + 1, len(pairs)
-    ok = bool((image >= 0).all())
-    for part in _batch.chunks(m, 16 * m):                 # blocks of CHUNK / 16 nodes
-        if not ok:
-            break
-        at = np.ones((len(image[part]), 1), dtype=index)     # the root, for each A
+    words = -(-mc // 64)
+    last = np.zeros((size + 1, 64 * words), dtype=bool)
+    last[node, code[:, -1]] = True
+    mask = np.packbits(last, axis=1, bitorder="little").view("<u8")   # bit c in word c // 64
+    _, rep, state = np.unique(mask[1:].view(np.dtype((np.void, 8 * words)))[:, 0],
+                              return_index=True, return_inverse=True)
+    owner, member = np.nonzero(last[1:][rep])            # the columns of each state
+    starts = np.searchsorted(owner, np.arange(len(rep)))
+    outside = ~mask
+    # blocks of CHUNK / 64 entries, so that the walk's gathers stay in cache
+    for part in _batch.chunks(len(maps), 64 * (size * words + len(member))):
+        sigma = maps[part]
+        at = np.ones((len(sigma), 1), dtype=np.intp)     # the root, for each map
         for table, parent, col in step:
-            at = table[at[:, parent - 1] * mc + image[part][:, col]]
-        ok = bool(at.all())
-    census.checks["closure_verified"] = ok
-    return ok
+            at = table[at[:, parent - 1] * mc + sigma[:, col]]
+        bit = np.left_shift(np.uint64(1), (sigma % 64).astype(np.uint64))
+        need = np.stack([np.bitwise_or.reduceat(np.where(sigma // 64 == w, bit, 0)[:, member],
+                                                starts, axis=1)
+                         for w in range(words)], axis=-1)  # (maps, states, words)
+        if (need[:, state] & np.take(outside, at, axis=0)).any():
+            return False
+    return True
 
 
 def verify_group(census):

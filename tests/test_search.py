@@ -247,6 +247,37 @@ def test_census_keys_are_the_keys_its_listing_sorted_by(side, first, monkeypatch
     assert np.array_equal(given._keys, keys)
 
 
+def test_census_sorts_a_given_array_once():
+    # D = diag(5, 1) sorts after I, so {D, I} is not in canonical order
+    d, ident = np.diag([5, 1]).astype(np.uint8), np.eye(2, dtype=np.uint8)
+    census = SemigroupCensus(Z6, 2, 1, "left", np.stack([d, ident]))
+    assert identity(Z6, 2) in census
+    assert Mat.from_text(Z6, "5,0;0,1") in census
+    assert Mat.from_text(Z6, "5,0;0,5") not in census
+    assert census.array.tobytes() == np.stack([ident, d]).tobytes()
+    assert (census._keys[1:] > census._keys[:-1]).all()
+    assert verify_group(census)["is_group"] is True
+    # duplicates are kept as given
+    twice = SemigroupCensus(Z6, 2, 1, "left", np.stack([d, ident, d]))
+    assert twice.count == 3
+    assert twice.array.tobytes() == np.stack([ident, d, d]).tobytes()
+
+
+@pytest.mark.parametrize("ring,n,k", [(Z6, 2, 0), (Z6, 2, 1), (R2, 2, V), (Z6, 3, 3)],
+                         ids=["Z6-2-0", "Z6-2-1", "R2-2-v", "Z6-3-3"])
+def test_reversed_arrays_give_the_same_answers(ring, n, k):
+    listed = {side: enumerate_semigroup(ring, n, k, side) for side in SIDES}
+    given = {side: SemigroupCensus(ring, n, k, side, c.array[::-1].copy())
+             for side, c in listed.items()}
+    for side in SIDES:
+        assert np.array_equal(given[side].array, listed[side].array)
+        assert np.array_equal(given[side]._keys, listed[side]._keys)
+        assert all(a in given[side] for a in listed[side].elements)
+        assert verify_group(given[side]) == verify_group(listed[side])
+    assert transpose_bijection_check(given["left"], given["right"]) is True
+    assert transpose_bijection_check(given["left"], listed["right"]) is True
+
+
 def test_naive_cap():
     with pytest.raises(BudgetExceededError):
         enumerate_naive(Z6, 3, 0, "left")  # 6^9 > the naive cap
@@ -311,6 +342,7 @@ def test_non_idempotent_k_closure_is_reported_not_asserted():
 
 
 @pytest.mark.parametrize("ring,n,k,side", [(Z6, 3, 4, "left"), (Z6, 3, 0, "right"),
+                                           (Z6, 3, 0, "left"),
                                            (R2, 3, V, "two_sided"), (Z6, 2, 2, "left"),
                                            (make_zmod(8), 2, 5, "right")],
                          ids=lambda x: getattr(x, "literal", str(x)))
@@ -396,6 +428,39 @@ def test_closure_has_no_width_limit():
     cycle = [1, 2, 0] + ident[3:]         # C^2 is missing from {I, C}
     census = _permutation_set(16, ident, cycle)
     assert verify_closure(census) is _closure_by_products(census) is False
+
+
+@pytest.mark.parametrize("n", [65, 70])
+def test_closure_over_two_mask_words(n):
+    # the n used columns take two 64-bit words; e_j is column n - 1 - j in
+    # key order, so e_0 is in the second word
+    ident = list(range(n))
+    census = _permutation_set(n, ident, [1, 0] + ident[2:])
+    assert verify_closure(census) is _closure_by_products(census) is True
+    census = _permutation_set(n, ident, [1, 2, 0] + ident[3:])
+    assert verify_closure(census) is _closure_by_products(census) is False
+    # PQ = (..., n - 1, n - 1) agrees with P up to the last column
+    census = _permutation_set(n, ident, ident[:-2] + [n - 1, n - 2], ident[:-2] + [n - 2, n - 2])
+    assert verify_closure(census) is _closure_by_products(census) is False
+    # P swaps e_0 and e_(n-1), Q maps both to e_(n-1): PQ = (0, 1, ..., n - 2, 0)
+    # agrees with I up to its last column e_0, a bit of the second word
+    swap = [n - 1] + ident[1:-1] + [0]
+    onto = [n - 1] + ident[1:-1] + [n - 1]
+    census = _permutation_set(n, ident, swap, onto)
+    assert _first_dead_depth(census) == n
+    assert verify_closure(census) is _closure_by_products(census) is False
+    # adding PQ closes the set
+    census = _permutation_set(n, ident, swap, onto, [0] + ident[1:-1] + [0])
+    assert verify_closure(census) is _closure_by_products(census) is True
+
+
+def test_closure_tests_every_distinct_map():
+    # I and G = (0, 1, 1, 2, 4) share their first row and the image of the
+    # first used column e_4, and I sorts first; G^2 = (0, 1, 1, 1, 4) is no
+    # element, so G's map must be walked although I's passes
+    census = _permutation_set(5, range(5), [0, 1, 1, 2, 4])
+    assert verify_closure(census) is _closure_by_products(census) is False
+    assert census.elements[0] == identity(F2, 5)
 
 
 def _first_dead_depth(census):
