@@ -12,7 +12,8 @@ Every sum or product of index arrays is one gather from the flat table,
 `_gather`: a ring has order q <= 256, so x*q + y is a ``uint16`` index.  A
 matrix product sums its inner index term by term, so no temporary outgrows
 the result.  Sets of rows are held as `row_keys`, one ``uint64`` per row
-when the row fits in 64 bits, and are matched by `lookup`.
+when the row fits in 64 bits, and are matched by `lookup`; `path_keys`
+gives the same keys for matrices held as paths through a candidate list.
 """
 
 from __future__ import annotations
@@ -149,6 +150,32 @@ def row_keys(flat, order):
         return keys
     flat = np.ascontiguousarray(flat)
     return flat.view(np.dtype((np.void, length)))[..., 0]
+
+
+def path_keys(cands, paths, order, columns=True):
+    """`row_keys` of the (count, n, n) matrices whose columns (rows unless
+    `columns`) are the vectors cands[paths], without forming them.
+
+    Vector j of a matrix sits at the key positions of vector 0 shifted by
+    j entries (a column) or j*n entries (a row), so each candidate is
+    spread once onto vector 0's positions and a key is the OR of the n
+    shifted spreads along its path.  Where `row_keys` keeps byte keys, the
+    matrices are formed and keyed by it.
+    """
+    n = cands.shape[-1]
+    bits = max(1, (order - 1).bit_length())
+    if n * n * bits > 64:
+        mats = cands[paths]
+        return row_keys((mats.swapaxes(1, 2) if columns else mats).reshape(-1, n * n), order)
+    stride = n if columns else 1                 # entry i of vector 0 is entry i*stride
+    spread = np.zeros(len(cands), dtype=np.uint64)
+    for i in range(n):
+        spread |= cands[:, i].astype(np.uint64) << np.uint64((n * n - 1 - i * stride) * bits)
+    step = bits if columns else n * bits
+    keys = np.zeros(len(paths), dtype=np.uint64)
+    for j in range(n):
+        keys |= spread[paths[:, j]] >> np.uint64(step * j)
+    return keys
 
 
 def lookup(table, keys):

@@ -9,7 +9,9 @@ backwards, through the mixed-radix code of the factor parts.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
-just the counts.
+just the counts.  It maps every element of the census forward, keying its
+factor parts from the census's paths, and looks each part up among the
+keys of that factor census.
 """
 
 from __future__ import annotations
@@ -167,13 +169,12 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     censuses use the independent brute-force counter when feasible, the
     pruned search otherwise.  `nodes` sums the nodes of every pruned search.
 
-    The bijection is checked backwards, by one join: when the counts agree,
-    every tuple of factor elements is mapped entrywise through the inverse
-    of the split to its source matrix, and the sorted keys of those matrices
-    must be strictly increasing and equal to the census's keys.  `split`
-    has verified that the entry map is a bijection, so this holds exactly
-    when every element's image lies in the product of the factor censuses
-    and distinct elements have distinct images.
+    The bijection is checked forwards, on the direct census's paths: each
+    factor part of every element is keyed from the factor images of the
+    census's candidates (`_batch.path_keys`) and looked up among the sorted
+    keys of that factor census.  Every element must land in the product,
+    and the tuples of factor positions of distinct elements must differ;
+    the counts agree, so an injective map into the product is a bijection.
     """
     ring.check_element(k)
     if ring.mul(k, k) != k:
@@ -186,31 +187,34 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     direct = enumerate_semigroup(ring, n, k, side, budget=budget)
     nodes = direct.nodes
 
-    factor_arrays = []
+    factor_keys = []            # sorted: the naive sweep runs in canonical order
     for factor, aj in zip(crt_split.factors, a):
         try:
-            arr = _naive_array(factor, n, aj, side)
+            keys = _batch.row_keys(_naive_array(factor, n, aj, side).reshape(-1, n * n),
+                                   factor.order)
         except BudgetExceededError:
             census = enumerate_semigroup(factor, n, aj, side, budget=budget)
             nodes += census.nodes
-            arr = census.array
-        factor_arrays.append(arr.reshape(-1, n * n))
-    factor_counts = [len(arr) for arr in factor_arrays]
+            keys = census._keys
+        factor_keys.append(keys)
+    factor_counts = [len(keys) for keys in factor_keys]
     product = math.prod(factor_counts)
 
     bijection_ok = direct.count == product
     if bijection_ok:
-        # the source matrix of every tuple of factor elements, entrywise
-        # through the inverse map: code is the mixed-radix code of the parts
-        code = np.zeros((1, n * n), dtype=np.uint16)
-        for factor, arr in zip(crt_split.factors, factor_arrays):
-            code = (code[:, None, :] * np.uint16(factor.order) + arr).reshape(-1, n * n)
-        # split verified the entry map, so every code has a source element
-        source = crt_split._inverse.astype(np.uint8)[code]
-        keys = np.sort(_batch.row_keys(source, ring.order))
-        # strictly increasing keys belong to distinct source matrices
-        bijection_ok = bool((keys[1:] != keys[:-1]).all()
-                            and np.array_equal(keys, direct._keys))
+        cands, paths = direct._paths
+        pairs = np.zeros(len(paths), dtype=np.int64)   # mixed-radix factor positions
+        for j, (factor, keys) in enumerate(zip(crt_split.factors, factor_keys)):
+            images = _batch.path_keys(crt_split.forward_np[cands, j], paths, factor.order,
+                                      side != "right")
+            pos = _batch.lookup(keys, images)
+            if (pos < 0).any():
+                bijection_ok = False
+                break
+            pairs = pairs * len(keys) + pos
+        else:
+            pairs.sort()
+            bijection_ok = bool((pairs[1:] != pairs[:-1]).all())
 
     return {
         "ring": ring.literal,

@@ -9,8 +9,11 @@ keeps the left elements whose row Gram sum_j c_j c_j^T is kI.
 The search walks the orthogonality graph of the candidates depth first in
 blocks of nodes held as boolean numpy rows (`_walk`); no block allocates
 more than `_batch.CHUNK` entries.  `enumerate_semigroup` only counts the
-leaves; a census lists its elements on first use of `census.array`, one
-(count, n, n) uint8 array of entry indices in canonical order.
+leaves.  A census lists its elements on first use as paths: the (count, n)
+indices of each element's columns among the sorted candidates.  Its keys
+are computed from the paths (`_batch.path_keys`), and `census.array`, one
+(count, n, n) uint8 array of entry indices in canonical order, is formed
+only when asked for.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes; exceeding it raises and
@@ -24,15 +27,16 @@ outer-product sum of the first half of the rows must equal the key of the
 sum of the second half.  A A^T is read off a table of the inner products of
 the |R|^n rows.
 
-The checks on a listed census run on index arrays.  `verify_closure` holds
-each element as the tuple of the indices of its columns among the columns
-the census uses and each element A as the map c -> A*c on them, read off
-one table of inner products.  Elements with equal maps have equal products
-with every B, so each distinct map is walked once through a prefix tree of
-the elements' tuples, built to depth n - 1; there the last columns below a
-node are one bitmask, and all products through the node pass or fail by
-one subset test.  It never forms the m*m products.  `verify_group` is one
-batched Gram test and one lookup of the transposes.
+The checks on a listed census run on index arrays.  `verify_closure` reads
+each element off its path as the tuple of the indices of its columns among
+the columns the census uses, and each element A as the map c -> A*c on
+them, read off one table of inner products.  Elements with equal maps have
+equal products with every B, so each distinct map is walked once through a
+prefix tree of the elements' tuples, built to depth n - 1; there the last
+columns below a node are one bitmask, and all products through the node
+pass or fail by one subset test.  It never forms the m*m products.
+`verify_group` is one batched Gram test and one lookup of the transposes;
+`transpose_bijection_check` keys a left census's paths as rows.
 """
 
 from __future__ import annotations
@@ -105,9 +109,13 @@ class _NodeCounter:
 class SemigroupCensus:
     """The full element set of LO/RO/O_n(k, R) plus verification metadata.
 
-    `array` holds the elements as one (count, n, n) uint8 array of entry
-    indices in canonical order (lexicographic by row-major entries), listed
-    on first use or, for a census built from an array, that array sorted;
+    The elements are held as `_paths`: the sorted candidate vectors and the
+    (count, n) indices of each element's columns (rows for a right census)
+    among them, listed on first use by a second walk or, for a census built
+    from an array, read off the distinct vectors of that array.  `_keys`,
+    their sorted row keys, are computed from the paths.  `array`, one
+    (count, n, n) uint8 array of entry indices in canonical order
+    (lexicographic by row-major entries), is formed on first use only;
     `elements` lists them as `Mat` views.  `checks` values are
     True/False once the corresponding verification has run, else None.
     """
@@ -127,34 +135,43 @@ class SemigroupCensus:
             self.count = len(self._array)
 
     @cached_property
-    def array(self):
-        return self._listing[0]
-
-    @cached_property
-    def _listing(self):
-        """(array, keys): the elements in canonical order and their row keys
-        (see `_batch.row_keys`), sorted together once.  A census built from
-        an array sorts that array, duplicates kept; any other lists its
-        elements by a second walk."""
-        n = self.n
-        arr = self._array if self._array is not None else self._walk_listing()
-        keys = _batch.row_keys(arr.reshape(-1, n * n), self.ring.order)
-        order = np.argsort(keys, kind="stable")
-        return arr[order], keys[order]
-
-    def _walk_listing(self):
-        """The elements as a (count, n, n) array, in the walk's order."""
+    def _paths(self):
+        """(cands, paths): the lexicographically sorted vectors and the
+        (count, n) intp indices of each element's columns (rows for a right
+        census) among them, in no particular order.  A census built from an
+        array numbers the distinct vectors of that array, duplicates kept;
+        any other lists its elements by a second walk."""
+        n, columns = self.n, self.side != "right"
+        if self._array is not None:
+            vecs = (self._array.swapaxes(1, 2) if columns else self._array).reshape(-1, n)
+            _, first, paths = np.unique(_batch.row_keys(vecs, self.ring.order),
+                                        return_index=True, return_inverse=True)
+            return vecs[first], paths.reshape(-1, n)
         # the listing walk must agree with the count and the nodes (its budget)
-        n = self.n
         counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
                                          self.side == "two_sided")
-        parts = [np.zeros((0, n), np.min_scalar_type(len(cands)))]
+        parts = [np.zeros((0, n), np.intp)]
         for paths, leaves in blocks:
-            f, j = np.nonzero(leaves)
-            parts.append(np.column_stack([paths[f], j]).astype(parts[0].dtype))
-        arr = cands[np.concatenate(parts)]           # chosen vectors as rows
-        if (len(arr), counter.spent) != (self.count, self.nodes):
+            f, j = np.divmod(np.flatnonzero(leaves), len(cands))
+            parts.append(np.column_stack([paths[f], j]))
+        paths = np.concatenate(parts)
+        if (len(paths), counter.spent) != (self.count, self.nodes):
             raise InvariantViolationError("search bug: the listing and counting walks differ")
+        return cands, paths
+
+    @cached_property
+    def _sorted(self):
+        """(order, keys): the permutation of `_paths` into canonical order
+        and the elements' row keys in that order (see `_batch.path_keys`)."""
+        cands, paths = self._paths
+        keys = _batch.path_keys(cands, paths, self.ring.order, self.side != "right")
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+
+    @cached_property
+    def array(self):
+        cands, paths = self._paths
+        arr = cands[paths[self._sorted[0]]]          # chosen vectors as rows
         return arr if self.side == "right" else arr.swapaxes(1, 2)   # vectors as columns
 
     @cached_property
@@ -163,7 +180,7 @@ class SemigroupCensus:
 
     @cached_property
     def _keys(self):
-        return self._listing[1]
+        return self._sorted[1]
 
     def element_set(self):
         return set(self.elements)
@@ -275,8 +292,8 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
 
 def enumerate_semigroup(ring, n, k, side="left", budget=None):
     """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: a count-only walk
-    gives the count and the nodes, and `census.array` lists the elements on
-    first use, in canonical order (lexicographic by row-major entries)."""
+    gives the count and the nodes, and the census lists its elements on
+    first use (see `SemigroupCensus`)."""
     side = normalize_side(side)
     counter, _, blocks = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
     count = sum(int(np.count_nonzero(leaves)) for _, leaves in blocks)
@@ -375,35 +392,33 @@ def verify_closure(census):
     The check runs on column indices (row indices for a right census, which
     is closed exactly when its transposes are).  Each element is the n-tuple
     of the indices of its columns among the m_c distinct columns the census
-    uses, numbered in the order of their row keys.  Column j of AB is A
-    times column j of B, so AB is an element exactly when the tuple of the
-    images of B's columns under A is one.  A acts on the used columns as a
-    map sigma read off one table of the inner products of the distinct rows
-    of the elements with the used columns; an image outside them fails at
-    once.  Elements with equal maps have equal products with every B, so
+    uses, read off its paths and numbered in candidate order, which is the
+    order of their row keys.  Column j of AB is A times column j of B, so
+    AB is an element exactly when the tuple of the images of B's columns
+    under A is one.  A acts on the used columns as a map sigma read off one
+    table of the inner products of the distinct rows of the elements with
+    the used columns; an image outside them fails at once.  Elements with equal maps have equal products with every B, so
     each distinct map is tested once (`_closed`).  The m*m_c images and m*m
     products are charged to the node budget first.
     """
     ring, n, m = census.ring, census.n, census.count
-    mats = census.array if census.side != "right" else census.array.swapaxes(1, 2)
-    columns = mats.swapaxes(1, 2).reshape(-1, n)
-    cols, first, code = np.unique(_batch.row_keys(columns, ring.order),
-                                  return_index=True, return_inverse=True)
-    mc = len(cols)
+    cands, paths = census._paths
+    used, code = np.unique(paths.ravel(), return_inverse=True)
+    mc = len(used)
     limit = resolve_budget()
     if m * mc + m * m > limit:
         raise BudgetExceededError(
             f"closure of {m} elements over {mc} columns needs {m * mc} images and "
             f"{m * m} product lookups, over the node budget of {limit}")
-    ok = m == 0 or _closed(ring, mats, cols, columns[first], code.reshape(m, n))
+    ok = m == 0 or _closed(ring, cands[used], code.reshape(m, n))
     census.checks["closure_verified"] = ok
     return ok
 
 
-def _closed(ring, mats, cols, vecs, code):
-    """`verify_closure` of a nonempty census: `mats` (m, n, n) its elements
-    acting on the used columns `vecs` (m_c, n), whose sorted keys are
-    `cols`, and `code` (m, n) the indices of each element's columns.
+def _closed(ring, vecs, code):
+    """`verify_closure` of a nonempty census: `vecs` (m_c, n) the used
+    columns in lexicographic order and `code` (m, n) the indices of each
+    element's columns among them.
 
     A prefix tree of the elements' tuples is built to depth n - 1:
     `step[j][p * m_c + c]` is the child by column c of node p of depth j, or
@@ -415,8 +430,9 @@ def _closed(ring, mats, cols, vecs, code):
     of the bits sigma(c) over the columns c of p's state lies in t's mask:
     one subset test per map and node, the dead node having the empty mask.
     """
-    (m, n), mc = code.shape, len(cols)
-    rows = mats.reshape(-1, n)
+    (m, n), mc = code.shape, len(vecs)
+    cols = _batch.row_keys(vecs, ring.order)             # sorted, as the columns are
+    rows = vecs[code].swapaxes(1, 2).reshape(-1, n)      # the elements' rows
     _, first, row = np.unique(_batch.row_keys(rows, ring.order),
                               return_index=True, return_inverse=True)
     rows = rows[first]
@@ -500,9 +516,8 @@ def transpose_bijection_check(left_census, right_census):
     if (left_census.ring, left_census.n, left_census.k) != (
             right_census.ring, right_census.n, right_census.k):
         raise InvalidParameterError("censuses must share ring, degree and k")
-    n = left_census.n
-    transposed = left_census.array.swapaxes(1, 2).reshape(-1, n * n)
-    keys = _batch.row_keys(transposed, left_census.ring.order)
+    # the transposes have the left columns as rows: key the paths as a right census's
+    keys = _batch.path_keys(*left_census._paths, left_census.ring.order, columns=False)
     return np.array_equal(np.sort(keys), right_census._keys)
 
 

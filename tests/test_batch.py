@@ -5,6 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from korthos import Mat, make_galois_field, make_zmod, systematic_from_A
 from korthos import _batch
@@ -148,6 +151,34 @@ def test_row_keys_sort_and_match_like_the_rows(order, length):
     assert (_batch.lookup(table, _batch.row_keys(absent, order)) == -1).all()
     # one row is one (0-d) key
     assert _batch.lookup(table, _batch.row_keys(rows[0], order)) == pos[0]
+
+
+# (order, n) with n^2 entries of bit_length(order - 1) bits: exactly 64 bits
+# (order 16 at n = 4, order 2 at n = 8), past 64 (order 17 at n = 4, Z256 at
+# n = 3, order 5 at n = 5, order 2 at n = 9), within 64, and n = 1
+PATH_KEY_CASES = [(16, 4), (2, 8), (17, 4), (256, 3), (5, 5), (2, 9), (6, 3), (4, 2),
+                  (3, 1), (256, 1)]
+
+
+@pytest.mark.parametrize("order,n", PATH_KEY_CASES, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_path_keys_are_the_row_keys_of_the_formed_matrices(order, n, data):
+    cands = data.draw(arrays(np.uint8, st.tuples(st.integers(0, 6), st.just(n)),
+                             elements=st.integers(0, order - 1)), label="cands")
+    paths = data.draw(arrays(np.intp, st.tuples(st.integers(0, 8 if len(cands) else 0),
+                                                st.just(n)),
+                             elements=st.integers(0, max(0, len(cands) - 1))), label="paths")
+    for columns in (True, False):
+        mats = cands[paths]                              # the vectors as rows
+        if columns:
+            mats = mats.swapaxes(1, 2)
+        want = _batch.row_keys(mats.reshape(-1, n * n), order)
+        for some in (paths, paths[:0]):
+            got = _batch.path_keys(cands, some, order, columns)
+            assert got.dtype == want.dtype and got.shape == (len(some),)
+            assert got.tobytes() == want[:len(some)].tobytes()
+        assert (want.dtype == np.uint64) is (n * n * _bits(order) <= 64)
 
 
 def test_a_length_66_binary_code_spans_and_answers_on_byte_keys():

@@ -10,6 +10,7 @@ from korthos import (
     InvalidParameterError,
     Mat,
     NotSplittableError,
+    enumerate_semigroup,
     gl_order,
     gl_order_bruteforce,
     identity,
@@ -213,29 +214,47 @@ def test_k_one_product_agrees_with_orthogonal_group_order():
     assert report["product"] == orth_group_order(Z6, 2) == 16
 
 
-@pytest.mark.parametrize("doctor", ["non_element", "duplicate"])
-def test_bijection_fails_on_a_doctored_direct_census(monkeypatch, doctor):
-    # the direct census keeps its count but loses an element: either a
-    # non-element takes its place (the zero matrix, whose Z3 part is not
-    # 1-orthogonal) or a neighbour is listed twice
-    enumerate_direct = crt.enumerate_semigroup
+@pytest.mark.parametrize("side", ["left", "right", "two_sided"])
+@pytest.mark.parametrize("doctor", ["non_element", "non_element_mod_2", "duplicate"])
+def test_bijection_fails_on_a_doctored_direct_census(monkeypatch, doctor, side):
+    # the direct census keeps its count but loses an element: a neighbour is
+    # listed twice, or a non-element takes its place.  The zero matrix lies
+    # outside the product by its Z3 part, which is not 1-orthogonal; 3I + 4A
+    # keeps A's Z3 part but has the Z2 part I, which is not 0-orthogonal
+    census = enumerate_semigroup(Z6, 2, 4, side)
+    arr = census.array.copy()
+    if doctor == "duplicate":
+        arr[1] = arr[0]
+    else:
+        arr[0] = 0 if doctor == "non_element" else (3 * np.eye(2, dtype=int) + 4 * arr[0]) % 6
+        z2, z3 = map_matrix(split(Z6), Mat(Z6, 2, 2, arr[0].ravel().tolist()))
+        inside = (z2 in enumerate_semigroup(make_zmod(2), 2, 0, side),
+                  z3 in enumerate_semigroup(make_zmod(3), 2, 1, side))
+        assert inside == ((True, False) if doctor == "non_element" else (False, True))
+    honest = verify_semigroup_isomorphism(Z6, 2, 4, side)
+    monkeypatch.setattr(crt, "enumerate_semigroup", lambda ring, n, k, side, budget=None:
+                        SemigroupCensus(ring, n, k, side, _array=arr, nodes=census.nodes))
+    report = verify_semigroup_isomorphism(Z6, 2, 4, side)
+    assert report["factor_counts"] == honest["factor_counts"]
+    assert report["product"] == report["direct_count"] == honest["direct_count"] == census.count
+    assert honest["bijection_ok"] is True and report["bijection_ok"] is False
 
-    def doctored(ring, n, k, side, budget=None):
-        census = enumerate_direct(ring, n, k, side, budget=budget)
-        arr = census.array.copy()
-        if doctor == "duplicate":
-            arr[1] = arr[0]
-        else:
-            arr[0] = ring.zero
-            flat = arr.reshape(len(arr), -1)
-            arr = arr[np.lexsort(flat.T[::-1])]        # back to canonical order
-        return SemigroupCensus(ring, n, k, census.side, _array=arr, nodes=census.nodes)
 
-    monkeypatch.setattr(crt, "enumerate_semigroup", doctored)
-    report = verify_semigroup_isomorphism(Z6, 2, 4)
-    assert report["factor_counts"] == [4, 8]
-    assert report["product"] == 32 == report["direct_count"]
-    assert report["bijection_ok"] is False
+def test_the_bijection_check_forms_no_census_array(monkeypatch):
+    # LO_3(0, Z15) is listed as paths and keyed from them; Z5 at n = 3 is
+    # past the naive cap, so its census is searched and keyed the same way
+    built, enumerate_direct = [], crt.enumerate_semigroup
+
+    def recording(*args, **kwargs):
+        built.append(enumerate_direct(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(crt, "enumerate_semigroup", recording)
+    report = verify_semigroup_isomorphism(make_zmod(15), 3, 0)
+    assert report["bijection_ok"] is True
+    assert report["product"] == report["direct_count"] == 78225
+    assert [c.ring.literal for c in built] == ["Z15", "Z5"]
+    assert all("array" not in c.__dict__ for c in built)
 
 
 def test_non_idempotent_k_rejected():

@@ -278,6 +278,26 @@ def test_reversed_arrays_give_the_same_answers(ring, n, k):
     assert transpose_bijection_check(given["left"], listed["right"]) is True
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_keys_and_closure_form_no_array(side):
+    # both kinds of census key and check their elements as paths through
+    # their sorted vectors; `array` is formed only when asked for
+    listed = enumerate_semigroup(Z6, 3, 0, side)
+    given = SemigroupCensus(Z6, 3, 0, side, listed.array[::-1].copy())
+    for census in (enumerate_semigroup(Z6, 3, 0, side), given):
+        census._keys
+        assert "array" not in census.__dict__
+        assert verify_closure(census) is True
+        assert "array" not in census.__dict__
+        assert np.array_equal(census.array, listed.array)
+
+
+def test_transpose_check_forms_no_array():
+    left, right = (enumerate_semigroup(Z6, 3, 0, side) for side in ("left", "right"))
+    assert transpose_bijection_check(left, right) is True
+    assert "array" not in left.__dict__ and "array" not in right.__dict__
+
+
 def test_naive_cap():
     with pytest.raises(BudgetExceededError):
         enumerate_naive(Z6, 3, 0, "left")  # 6^9 > the naive cap
