@@ -5,15 +5,16 @@ functions operate on arrays whose values are element indices.  This is the
 one place that does matrix arithmetic over a ring: `Mat` products, sums and
 determinants, the search, the censuses, the orthogonality predicates,
 closure, the CRT bijection, the GL sweep, code spans and dual joins all run
-here.  `gram_is_scalar` is the one Gram test behind every k-orthogonality
-check.
+here.  `gram_is_scalar` is the one Gram test of a given matrix; the search
+tests its row Grams by comparing keys.
 
 Every sum or product of index arrays is one gather from the flat table,
-`_gather`: a ring has order q <= 256, so x*q + y is a ``uint16`` index.  A
-matrix product sums its inner index term by term, so no temporary outgrows
-the result.  Sets of rows are held as `row_keys`, one ``uint64`` per row
-when the row fits in 64 bits, and are matched by `lookup`; `path_keys`
-gives the same keys for matrices held as paths through a candidate list.
+`_gather`: a ring has order q <= 256, so x*q + y is a ``uint16`` index.
+`batch_matmul` is the one product; it sums its inner index term by term, so
+no temporary outgrows the result.  `fold_add` sums a determinant's terms.
+Sets of rows are held as `row_keys`, one ``uint64`` per row when the row
+fits in 64 bits, and are matched by `lookup`; `path_keys` gives the same
+keys for matrices held as paths through a candidate list.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ def batch_matmul(ring, a, b):
     for j in range(1, m):
         acc = _gather(add, acc, _gather(mul, a[..., :, j, None], b[..., j, None, :]))
     return acc
-
-
-def batch_dot(ring, u, v):
-    """Inner products along the last axis, broadcasting on the rest."""
-    return fold_add(ring, _gather(ring.mul_np, u, v))
 
 
 def det(ring, a):

@@ -250,7 +250,10 @@ def _cmd_code(args):
         code = systematic_from_A(a)
     else:
         with open(args.generator, encoding="utf-8") as fh:
-            code = code_from_generator(ring, Mat.from_text(ring, fh.read()))
+            try:
+                code = code_from_generator(ring, Mat.from_text(ring, fh.read()))
+            except UnicodeDecodeError as exc:
+                raise KorthosError(f"{args.generator} is not UTF-8 text: {exc}") from None
     result = {
         "length": code.length,
         "size": code.size,

@@ -237,19 +237,20 @@ def _search(ring, n, k, limit, two_sided=False):
     m = len(cands)
     adj = np.empty((m, m), dtype=bool)
     for part in _batch.chunks(m, m * n):
-        adj[part] = _batch.batch_dot(ring, cands[part, None, :], cands[None, :, :]) == ring.zero
+        adj[part] = _batch.batch_matmul(ring, cands[part], cands.T) == ring.zero
     return counter, cands, _walk(ring, cands, adj, n, k, counter, two_sided)
 
 
 def _walk(ring, cands, adj, n, k, counter, two_sided):
     """Walk the search tree depth first, in blocks of b nodes of depth d:
     `paths` (b, d) the candidates chosen, `allowed` (b, m) the candidates
-    orthogonal to all of them (a child by j has `allowed[p] & adj[j]`) and
-    `gram` (b, n, n) the row Gram partial sum.  A popped block charges its
-    children, then pushes them in pieces of `rows` nodes built only when
-    popped.  Yields (paths, leaves) per block of depth n - 1, in row-major
-    order, `leaves` (b, m) marking the children that are elements; for
-    idempotent k it checks that kI is one."""
+    orthogonal to all of them (a child by j has `allowed[p] & adj[j]`) and,
+    two-sided, `rest` (b, n, n): kI minus the sum of c c^T over the chosen c.
+    A popped block charges its children, then pushes them in pieces of
+    `rows` nodes built only when popped.  Yields (paths, leaves) per block
+    of depth n - 1, in row-major order, `leaves` (b, m) marking the children
+    that are elements (two-sided, those whose c_j c_j^T is `rest`, by key);
+    for idempotent k it checks that kI is one."""
     m = len(cands)
     rows = max(1, _batch.CHUNK // (m + n * n))
     target = np.diag(np.full(n, k, dtype=np.uint8))
@@ -258,32 +259,30 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     if two_sided:
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
         keys = _batch.row_keys(outer.reshape(m, n * n), ring.order)
-        classes = np.sort(keys)
-        cls = _batch.lookup(classes, keys)
-    block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), np.zeros((1, n, n), np.uint8))
+        less = ring.neg_np[outer]
+    block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), target[None])
     stack, seen = [], False
     while True:
-        paths, allowed, gram = block
+        paths, allowed, rest = block
         nodes = int(np.count_nonzero(allowed))
         counter.spend(nodes, f"depth {paths.shape[1] + 1}")
         if paths.shape[1] < n - 1:
             flat = np.flatnonzero(allowed)
             stack.extend((block, flat[i:i + rows]) for i in reversed(range(0, nodes, rows)))
         else:
-            leaves = allowed   # the children; by j, two-sided when c_j c_j^T = kI - gram
+            leaves = allowed   # the children
             if two_sided:
-                need = _batch._gather(ring.add_np, target, ring.neg_np[gram])
-                need = _batch.row_keys(need.reshape(-1, n * n), ring.order)
-                leaves = allowed & (cls == _batch.lookup(classes, need)[:, None])
+                need = _batch.row_keys(rest.reshape(-1, n * n), ring.order)
+                leaves = allowed & (keys == need[:, None])
             if probe is not None:
                 seen = seen or bool(leaves[(paths == probe[:-1]).all(axis=1), probe[-1]].any())
             yield paths, leaves
         if not stack:
             break
-        (paths, allowed, gram), piece = stack.pop()
+        (paths, allowed, rest), piece = stack.pop()
         f, j = np.divmod(piece, m)
         block = (np.column_stack([paths[f], j]), allowed[f] & adj[j],
-                 _batch._gather(ring.add_np, gram[f], outer[j]) if two_sided else gram)
+                 _batch._gather(ring.add_np, rest[f], less[j]) if two_sided else rest)
     if ring.mul(k, k) == k and not seen:
         raise InvariantViolationError(
             f"search bug: scalar matrix missing from census over {ring.literal}"
@@ -354,14 +353,14 @@ def _naive_array(ring, n, k, side="left"):
     np.fill_diagonal(target, k)
     mask = np.ones(shape, dtype=bool)
     if side != "right":                                   # A^T A = kI
-        outer = _batch._gather(ring.mul_np, rows[:, :, None], rows[:, None, :])
+        outer = _batch.batch_matmul(ring, rows[:, :, None], rows[:, None, :])
         h = n // 2
         need = _batch._gather(ring.add_np, target, ring.neg_np[_outer_sums(ring, outer, h)])
         head, tail = (_batch.row_keys(s.reshape(-1, n * n), ring.order)
                       for s in (need, _outer_sums(ring, outer, n - h)))
         mask &= (head[:, None] == tail[None, :]).reshape(shape)
     if side != "left":                                    # A A^T = kI
-        dots = _batch.batch_dot(ring, rows[:, None, :], rows[None, :, :])
+        dots = _batch.batch_matmul(ring, rows, rows.T)
         grid = np.ix_(*[np.arange(len(rows))] * n)
         for i in range(n):
             for j in range(i, n):
@@ -438,7 +437,7 @@ def _closed(ring, vecs, code):
     rows = rows[first]
     dots = np.empty((len(rows), mc), dtype=np.uint8)     # <row r, column c>
     for part in _batch.chunks(len(rows), mc * n):
-        dots[part] = _batch.batch_dot(ring, rows[part, None, :], vecs[None, :, :])
+        dots[part] = _batch.batch_matmul(ring, rows[part], vecs.T)
     # rows with equal inner products act alike on every used column, and so
     # do elements whose rows do: one map sigma per distinct tuple of classes
     _, first, cls = np.unique(dots.view(np.dtype((np.void, mc)))[:, 0],

@@ -52,7 +52,7 @@ def batched_pairwise_all_zero(ring, words, chunk=4096):
     out = np.empty(g, dtype=bool)
     for lo in range(0, g, chunk):
         w = words[lo:lo + chunk]
-        t = _batch.batch_dot(ring, w[:, :, None, :], w[:, None, :, :])
+        t = _batch.batch_matmul(ring, w, w.swapaxes(-1, -2))
         out[lo:lo + chunk] = (t == ring.zero).all(axis=(1, 2))
     return out
 

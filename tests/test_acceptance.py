@@ -355,7 +355,7 @@ def test_criterion_10f_self_dual_iff_antiorthogonal():
     words = batched_words(Z6, gens)                          # (1296, 36, 4)
     weakly = batched_pairwise_all_zero(Z6, words)
     cands = _batch.all_tuples(6, 4)
-    t = _batch.batch_dot(Z6, cands[None, :, None, :], gens[:, None, :, :])
+    t = _batch.batch_matmul(Z6, cands[None], gens.swapaxes(1, 2))
     dual_sizes = ((t == 0).all(axis=2)).sum(axis=1)
     self_dual = weakly & (dual_sizes == 36)
     assert (self_dual == anti).all()

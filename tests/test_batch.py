@@ -66,14 +66,17 @@ def test_batch_matmul_over_an_empty_inner_dimension_is_zero(ring):
 
 @ring_ids
 def test_batch_dot_matches_the_scalar_loops(ring):
+    # the inner products of two sets of vectors, as the adjacency, the
+    # closure's dot table and the naive oracle's row table take them
     u = _random(ring, (3, 1, 5), 5)
     v = _random(ring, (4, 5), 6)
     u[0, 0] = v[0] = ring.order - 1
-    got = _batch.batch_dot(ring, u, v)
+    got = _batch.batch_matmul(ring, u[:, 0], v.T)
     assert got.dtype == np.uint8 and got.shape == (3, 4)
     for s, t in itertools.product(range(3), range(4)):
         assert got[s, t] == _scalar_dot(ring, u[s, 0], v[t])
-    empty = _batch.batch_dot(ring, _random(ring, (3, 1, 0), 7), _random(ring, (4, 0), 8))
+    empty = _batch.batch_matmul(ring, _random(ring, (3, 1, 0), 7)[:, 0],
+                                _random(ring, (4, 0), 8).T)
     assert empty.shape == (3, 4) and (empty == ring.zero).all()
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from korthos import enumerate_semigroup, parse_ring
 from korthos.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,6 +178,15 @@ def test_code_generator_file(tmp_path, capsys):
     assert code == 0
     assert payload["result"]["report"]["self_dual"] is True
     assert payload["result"]["systematic"] is True
+
+
+def test_code_generator_file_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "gen.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "code", "--ring", "Z4", "--generator", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("korthos: error:") and err.count("\n") == 1
+    assert "UTF-8" in err and "Traceback" not in err
 
 
 def test_code_requires_exactly_one_input(capsys):
@@ -351,6 +361,49 @@ def test_golden_without_rows_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "tables", "--ring", "Z6", "--n", "2", "--golden", str(path))
     assert code == 1
     assert "korthos: error:" in err and "'rows'" in err
+
+
+def _golden_copy(tmp_path, name, edit):
+    """A temp copy of the shipped golden table `name`, changed by `edit`."""
+    table = json.loads((TABLES / name).read_text())
+    edit(table)
+    path = tmp_path / name
+    path.write_text(json.dumps(table))
+    return path
+
+
+def test_golden_of_another_degree_exits_2(tmp_path, capsys):
+    path = _golden_copy(tmp_path, "z6-n2-counts.json", lambda t: t.update(n=3))
+    code, out, _ = run(capsys, "tables", "--ring", "Z6", "--n", "2", "--golden", str(path))
+    assert code == 2
+    assert "degree mismatch: golden has n=3" in out
+
+
+def _swap_rows(table):
+    # k = 2 is not idempotent in Z6, so no census row has it
+    table["rows"] = [r for r in table["rows"] if r["k"] != "1"]
+    table["rows"].append({"k": "2", "lo": 1, "o": 1, "diff": 0})
+
+
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_golden_with_an_extra_and_a_dropped_row_exits_2(tmp_path, capsys, command):
+    path = _golden_copy(tmp_path, "z6-n2-counts.json", _swap_rows)
+    argv = (("verify", "--table", str(path)) if command == "verify" else
+            ("tables", "--ring", "Z6", "--n", "2", "--golden", str(path)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "k=2 missing from computed table" in out
+    assert "k=1 not in golden table" in out
+
+
+def test_matrix_table_checks_only_the_sides_it_lists(tmp_path, capsys):
+    def left_only(table):
+        del table["ro"], table["o"]
+    path = _golden_copy(tmp_path, "r2-n2-v-semigroups.json", left_only)
+    code, payload, _ = run_json(capsys, "verify", "--table", str(path))
+    assert code == 0 and payload["result"]["mismatches"] == []
+    ring = parse_ring("GF(2)+vGF(2)[v2=v]")
+    assert payload["nodes"] == enumerate_semigroup(ring, 2, ring.parse_element("v")).nodes
 
 
 def test_payloads_are_deterministic(capsys):

@@ -206,7 +206,8 @@ def _sweep_dual(ring, n, rows):
     cands = _batch.all_tuples(ring.order, n)
     mask = np.ones(len(cands), dtype=bool)
     for row in rows:
-        mask &= _batch.batch_dot(ring, cands, np.asarray(row, dtype=np.uint8)) == ring.zero
+        dots = _batch.batch_matmul(ring, cands, np.asarray(row, dtype=np.uint8)[:, None])
+        mask &= dots[:, 0] == ring.zero
     return frozenset(map(tuple, cands[mask].tolist()))
 
 

@@ -807,6 +807,30 @@ def test_small_blocks_give_identical_results(monkeypatch):
     assert all(rows * width <= max(64, width) for rows, width in shapes)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_two_sided_leaves_compare_wide_keys(k):
+    # over Z256 at n = 3 a row Gram is 72 bits, so the walk compares byte
+    # keys; the candidates give products that differ from kI in one entry
+    # only, first (16 e1, 16^2 = 0) or last (2 e3, 128 e1 + e3); kI's
+    # columns are among them, as the walk checks
+    z256, n = make_zmod(256), 3
+    cands = np.array(sorted([(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 255), (0, 1, 0), (1, 0, 0),
+                             (1, 0, 128), (16, 0, 0), (128, 0, 1), (255, 0, 0)]),
+                     dtype=np.uint8)
+    m = len(cands)
+    assert _batch.row_keys(np.zeros((1, n * n), np.uint8), z256.order).dtype.kind == "V"
+    counter = search._NodeCounter(10 ** 6, n)
+    got = set()
+    for paths, leaves in search._walk(z256, cands, np.ones((m, m), bool), n, k, counter, True):
+        got.update((*map(int, paths[f]), int(j)) for f, j in zip(*np.nonzero(leaves)))
+    triples = np.array(list(np.ndindex(m, m, m)))
+    mats = cands[triples].swapaxes(1, 2)                  # chosen vectors as columns
+    gram = _batch.batch_matmul(z256, mats, mats.swapaxes(1, 2))
+    want = {tuple(map(int, t)) for t, g in zip(triples, gram) if (g == k * np.eye(n)).all()}
+    assert got == want and len(want) > 0
+    assert counter.spent == m + m * m + m ** 3
+
+
 @pytest.mark.parametrize("ring,n,k", [(Z6, 3, 4), (Z6, 1, 3), (R2, 2, V), (F2, 3, 0)],
                          ids=lambda x: getattr(x, "literal", str(x)))
 @pytest.mark.parametrize("side", SIDES)

@@ -1,6 +1,9 @@
-"""Data-driven checks against the shipped worked-examples golden file."""
+"""Data-driven checks against the shipped worked-examples golden file, and
+the values README's library sketch states in its comments."""
 
+import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,9 +18,8 @@ from korthos import (
     systematic_from_A,
 )
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent.parent / "tables" / "worked-examples.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tables" / "worked-examples.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN["orthogonality"],
@@ -55,3 +57,22 @@ def test_code_examples(case):
         assert report.lee_distance == case["lee"]
     if "hamming" in case:
         assert report.hamming_distance == case["hamming"]
+
+
+def test_readme_library_sketch_states_its_values():
+    """Run README's `## Library sketch` block line by line; an expression
+    line must equal the literal its comment opens with (up to " (" or ":")."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, seen = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        body = ast.parse(code).body
+        if body and isinstance(body[0], ast.Expr):
+            got = eval(code, namespace)
+            want = ast.literal_eval(re.split(r" \(|:", comment.strip())[0])
+            assert repr(got) == repr(want), line
+            seen.append(want)
+        else:
+            exec(code, namespace)
+    assert seen == [1056, True, ([22, 48], True), True, None]
