@@ -14,7 +14,8 @@ Every sum or product of index arrays is one gather from the flat table,
 no temporary outgrows the result.  `fold_add` sums a determinant's terms.
 Sets of rows are held as `row_keys`, one ``uint64`` per row when the row
 fits in 64 bits, and are matched by `lookup`; `path_keys` gives the same
-keys for matrices held as paths through a candidate list.
+keys for matrices held as paths through a candidate list.  Sets of
+candidates are `pack_bits` rows of ``uint64`` words, one bit per candidate.
 """
 
 from __future__ import annotations
@@ -132,13 +133,19 @@ def row_keys(flat, order):
 
     A row of L entries of b = bit_length(order - 1) bits each packs first
     entry most significant into one uint64 when L*b <= 64, so keys compare
-    as integers.  A wider row keeps its L bytes as one fixed-width bytes
-    key, the only exact key there.  Keys are comparable only between rows
-    of the same length and order.
+    as integers.  Up to 1,024 rows, one product with the weights
+    2^(b*(L-1-j)) packs them (its terms occupy disjoint bits); more rows are
+    packed column by column, 2L whole-array steps that cost less per row
+    than the product's integer loop.  A wider row keeps its L bytes as one
+    fixed-width bytes key, the only exact key there.  Keys are comparable
+    only between rows of the same length and order.
     """
     length = flat.shape[-1]
     bits = max(1, (order - 1).bit_length())
     if length * bits <= 64:
+        if flat.size <= 1024 * length:
+            shifts = np.arange(length - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+            return np.matmul(flat, np.left_shift(np.uint64(1), shifts), dtype=np.uint64)
         keys = np.zeros(flat.shape[:-1], dtype=np.uint64)
         for j in range(length):
             keys <<= bits
@@ -172,6 +179,20 @@ def path_keys(cands, paths, order, columns=True):
     for j in range(n):
         keys |= spread[paths[:, j]] >> np.uint64(step * j)
     return keys
+
+
+def pack_bits(rows):
+    """A (..., m) bool array as (..., ceil(m / 64)) uint64 words: bit j of a
+    row is bit j % 64 of word j // 64, and the padding bits are zero."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    words = np.zeros(rows.shape[:-1] + (8 * -(-rows.shape[-1] // 64),), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def unpack_bits(words, m):
+    """The (..., m) bool rows that `pack_bits` packed into `words`."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=m, bitorder="little").view(bool)
 
 
 def lookup(table, keys):

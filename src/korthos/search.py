@@ -7,9 +7,13 @@ The right census runs the identical search on rows; the two-sided census
 keeps the left elements whose row Gram sum_j c_j c_j^T is kI.
 
 The search walks the orthogonality graph of the candidates depth first in
-blocks of nodes held as boolean numpy rows (`_walk`); no block allocates
-more than `_batch.CHUNK` entries.  `enumerate_semigroup` only counts the
-leaves.  A census lists its elements on first use as paths: the (count, n)
+blocks of nodes (`_walk`).  Each node's set of admissible next columns is
+one row of uint64 words, a bit per candidate; a block is unpacked to one
+byte per candidate only when it is expanded, and no block allocates more
+than `_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial
+row Gram once per distinct matrix, not per node, and keeps a node's leaves
+by one AND with the set of candidates whose c c^T equals it.
+`enumerate_semigroup` only counts the leaves.  A census lists its elements on first use as paths: the (count, n)
 indices of each element's columns among the sorted candidates.  Its keys
 are computed from the paths (`_batch.path_keys`), and `census.array`, one
 (count, n, n) uint8 array of entry indices in canonical order, is formed
@@ -150,14 +154,21 @@ class SemigroupCensus:
         # the listing walk must agree with the count and the nodes (its budget)
         counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
                                          self.side == "two_sided")
-        parts = [np.zeros((0, n), np.intp)]
-        for paths, leaves in blocks:
-            f, j = np.divmod(np.flatnonzero(leaves), len(cands))
-            parts.append(np.column_stack([paths[f], j]))
-        paths = np.concatenate(parts)
-        if (len(paths), counter.spent) != (self.count, self.nodes):
-            raise InvariantViolationError("search bug: the listing and counting walks differ")
-        return cands, paths
+        m, paths, at = len(cands), np.empty((self.count, n), np.intp), 0
+        for prefix, leaves in blocks:
+            flat = np.flatnonzero(_batch.unpack_bits(leaves, m))
+            end = at + len(flat)
+            if end > self.count:
+                break
+            per = np.bitwise_count(leaves).sum(axis=1, dtype=np.intp)   # leaves per node
+            for i in range(n - 1):
+                paths[at:end, i] = np.repeat(prefix[:, i], per)
+            paths[at:end, -1] = flat % m
+            at = end
+        else:
+            if (at, counter.spent) == (self.count, self.nodes):
+                return cands, paths
+        raise InvariantViolationError("search bug: the listing and counting walks differ")
 
     @cached_property
     def _sorted(self):
@@ -225,8 +236,9 @@ def _check_degree(n):
 
 def _search(ring, n, k, limit, two_sided=False):
     """Validate, sweep the candidates and their pairs, and return (counter,
-    cands, the `_walk` generator).  adj[i, j] is True when the pair is
-    orthogonal, i.e. has Gram matrix kI; one node per unordered pair."""
+    cands, the `_walk` generator).  Row i of `adj` is the set of candidates
+    orthogonal to candidate i (pair Gram matrix kI), packed in uint64 words
+    by `_batch.pack_bits`; one node per unordered pair."""
     _check_degree(n)
     ring.check_element(k)
     if n >= limit.bit_length():   # then |R|^n >= 2^n > limit candidates
@@ -235,22 +247,31 @@ def _search(ring, n, k, limit, two_sided=False):
     counter = _NodeCounter(limit, n)
     cands = _column_candidates(ring, n, k, counter)   # charges the pairs too
     m = len(cands)
-    adj = np.empty((m, m), dtype=bool)
+    adj = np.empty((m, -(-m // 64)), dtype="<u8")
     for part in _batch.chunks(m, m * n):
-        adj[part] = _batch.batch_matmul(ring, cands[part], cands.T) == ring.zero
+        adj[part] = _batch.pack_bits(_batch.batch_matmul(ring, cands[part], cands.T) == ring.zero)
     return counter, cands, _walk(ring, cands, adj, n, k, counter, two_sided)
 
 
 def _walk(ring, cands, adj, n, k, counter, two_sided):
     """Walk the search tree depth first, in blocks of b nodes of depth d:
-    `paths` (b, d) the candidates chosen, `allowed` (b, m) the candidates
-    orthogonal to all of them (a child by j has `allowed[p] & adj[j]`) and,
-    two-sided, `rest` (b, n, n): kI minus the sum of c c^T over the chosen c.
-    A popped block charges its children, then pushes them in pieces of
+    `paths` (b, d) the candidates chosen and `allowed` (b, ceil(m / 64)) the
+    candidates orthogonal to all of them as `_batch.pack_bits` words (a
+    child by j has `allowed[p] & adj[j]`).  A popped block charges its
+    children, then unpacks its sets and pushes the children in pieces of
     `rows` nodes built only when popped.  Yields (paths, leaves) per block
-    of depth n - 1, in row-major order, `leaves` (b, m) marking the children
-    that are elements (two-sided, those whose c_j c_j^T is `rest`, by key);
-    for idempotent k it checks that kI is one."""
+    of depth n - 1, in row-major order, `leaves` the packed sets of the
+    children that are elements; for idempotent k it checks that kI is one.
+
+    Two-sided, the candidates fall into classes of equal c c^T, each with
+    one packed member mask.  A block carries `rest`, a table of matrices kI
+    minus the sum of c c^T over the chosen c, and `rid` (b,), the row of
+    each node's matrix in it.  A child's matrix is computed once per
+    distinct (parent row, class) pair, and the table of a block that will be
+    expanded keeps one row per distinct matrix, by key.  A child of a node
+    is an element when its c c^T is the node's matrix, so the node's leaves
+    are `allowed` AND the mask of that class (no class: the empty mask).
+    """
     m = len(cands)
     rows = max(1, _batch.CHUNK // (m + n * n))
     target = np.diag(np.full(n, k, dtype=np.uint8))
@@ -258,31 +279,46 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     probe = hit.argmax(axis=1) if hit.any(axis=1).all() else None   # kI's columns
     if two_sided:
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
-        keys = _batch.row_keys(outer.reshape(m, n * n), ring.order)
-        less = ring.neg_np[outer]
-    block = (np.zeros((1, 0), np.intp), np.ones((1, m), bool), target[None])
+        keys, first, cls = np.unique(_batch.row_keys(outer.reshape(m, n * n), ring.order),
+                                     return_index=True, return_inverse=True)
+        less = ring.neg_np[outer[first]]                # minus c c^T, one per class
+        member = np.zeros((len(keys) + 1, m), dtype=bool)
+        member[cls, np.arange(m)] = True                # the last class is empty
+        masks = _batch.pack_bits(member)
+    block = (np.zeros((1, 0), np.intp), _batch.pack_bits(np.ones((1, m), bool)),
+             np.zeros(1, np.intp), target[None])
     stack, seen = [], False
     while True:
-        paths, allowed, rest = block
-        nodes = int(np.count_nonzero(allowed))
+        paths, allowed, rid, rest = block
+        nodes = int(np.bitwise_count(allowed).sum())
         counter.spend(nodes, f"depth {paths.shape[1] + 1}")
         if paths.shape[1] < n - 1:
-            flat = np.flatnonzero(allowed)
+            flat = np.flatnonzero(_batch.unpack_bits(allowed, m))
             stack.extend((block, flat[i:i + rows]) for i in reversed(range(0, nodes, rows)))
         else:
             leaves = allowed   # the children
             if two_sided:
-                need = _batch.row_keys(rest.reshape(-1, n * n), ring.order)
-                leaves = allowed & (keys == need[:, None])
+                need = _batch.lookup(keys, _batch.row_keys(rest.reshape(-1, n * n), ring.order))
+                leaves = allowed & masks[need[rid]]   # need -1: no class, the empty mask
             if probe is not None:
-                seen = seen or bool(leaves[(paths == probe[:-1]).all(axis=1), probe[-1]].any())
+                word = leaves[(paths == probe[:-1]).all(axis=1), probe[-1] // 64]
+                seen = seen or bool((word >> np.uint64(probe[-1] % 64) & np.uint64(1)).any())
             yield paths, leaves
         if not stack:
             break
-        (paths, allowed, rest), piece = stack.pop()
+        (paths, allowed, rid, rest), piece = stack.pop()
         f, j = np.divmod(piece, m)
-        block = (np.column_stack([paths[f], j]), allowed[f] & adj[j],
-                 _batch._gather(ring.add_np, rest[f], less[j]) if two_sided else rest)
+        if two_sided and paths.shape[1] == 0:   # children of the root: one rest per class
+            rid, rest = cls[j], _batch._gather(ring.add_np, target, less)
+        elif two_sided:   # one rest per distinct (parent rest, class) pair
+            pair, rid = np.unique(rid[f] * len(keys) + cls[j], return_inverse=True)
+            parent, c = np.divmod(pair, len(keys))
+            rest = _batch._gather(ring.add_np, rest[parent], less[c])
+            if paths.shape[1] < n - 2:   # equal rests of a block to expand share one id
+                _, first, same = np.unique(_batch.row_keys(rest.reshape(-1, n * n), ring.order),
+                                           return_index=True, return_inverse=True)
+                rest, rid = rest[first], same[rid]
+        block = (np.column_stack([paths[f], j]), allowed[f] & adj[j], rid, rest)
     if ring.mul(k, k) == k and not seen:
         raise InvariantViolationError(
             f"search bug: scalar matrix missing from census over {ring.literal}"
@@ -295,7 +331,7 @@ def enumerate_semigroup(ring, n, k, side="left", budget=None):
     first use (see `SemigroupCensus`)."""
     side = normalize_side(side)
     counter, _, blocks = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
-    count = sum(int(np.count_nonzero(leaves)) for _, leaves in blocks)
+    count = sum(int(np.bitwise_count(leaves).sum()) for _, leaves in blocks)
     # the walk checks that kI is an element; I is kI for k = 1, else no element
     checks = {"closure_verified": None, "identity_present": k == ring.one, "is_group": None}
     return SemigroupCensus(ring, n, k, side, checks=checks, nodes=counter.spent,
@@ -459,10 +495,10 @@ def _closed(ring, vecs, code):
         table[pairs] = np.arange(1, len(pairs) + 1)
         step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
         node, size = child + 1, len(pairs)
-    words = -(-mc // 64)
-    last = np.zeros((size + 1, 64 * words), dtype=bool)
+    last = np.zeros((size + 1, mc), dtype=bool)
     last[node, code[:, -1]] = True
-    mask = np.packbits(last, axis=1, bitorder="little").view("<u8")   # bit c in word c // 64
+    mask = _batch.pack_bits(last)                        # bit c in word c // 64
+    words = mask.shape[1]
     _, rep, state = np.unique(mask[1:].view(np.dtype((np.void, 8 * words)))[:, 0],
                               return_index=True, return_inverse=True)
     owner, member = np.nonzero(last[1:][rep])            # the columns of each state
@@ -592,7 +628,7 @@ def _antiorthogonal_search(ring, n, budget=None):
     counter, cands, blocks = _search(ring, n, k, resolve_budget(budget))
     for paths, leaves in blocks:
         if leaves.any():
-            f, j = divmod(int(leaves.argmax()), len(cands))
+            f, j = divmod(int(_batch.unpack_bits(leaves, len(cands)).argmax()), len(cands))
             break
     else:
         return None, counter.spent

@@ -189,6 +189,14 @@ def test_code_generator_file_not_utf8_exits_1(tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["x", "v*x", "x+v"])
+def test_vext_parse_error_names_the_vext_ring(capsys, value):
+    # the base field's parse error must not escape under the field's name
+    code, out, err = run(capsys, "census", "--ring", "R2", "--n", "2", "--k", value)
+    assert code == 1 and out == ""
+    assert err == f"korthos: error: cannot parse {value!r} as an element of GF(2)+vGF(2)[v2=v]\n"
+
+
 def test_code_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "code", "--ring", "Z6")
     assert code == 1

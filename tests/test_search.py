@@ -37,6 +37,7 @@ from korthos import (
     verify_semigroup_isomorphism,
 )
 from korthos import _batch, search
+from korthos.crt import split
 from korthos.search import SIDES, SemigroupCensus, resolve_budget
 
 from helpers import ring_family
@@ -796,6 +797,9 @@ def test_small_blocks_give_identical_results(monkeypatch):
     def recording_walk(ring, cands, adj, n, k, counter, two_sided):
         for paths, leaves in real_walk(ring, cands, adj, n, k, counter, two_sided):
             shapes.append((len(paths), len(cands) + n * n))
+            # one bit per candidate, the padding bits of the last word zero
+            unpacked = _batch.unpack_bits(leaves, len(cands))
+            assert np.array_equal(_batch.pack_bits(unpacked), leaves)
             yield paths, leaves
 
     monkeypatch.setattr(_batch, "CHUNK", 64)
@@ -821,14 +825,102 @@ def test_two_sided_leaves_compare_wide_keys(k):
     assert _batch.row_keys(np.zeros((1, n * n), np.uint8), z256.order).dtype.kind == "V"
     counter = search._NodeCounter(10 ** 6, n)
     got = set()
-    for paths, leaves in search._walk(z256, cands, np.ones((m, m), bool), n, k, counter, True):
-        got.update((*map(int, paths[f]), int(j)) for f, j in zip(*np.nonzero(leaves)))
+    adj = _batch.pack_bits(np.ones((m, m), bool))
+    for paths, leaves in search._walk(z256, cands, adj, n, k, counter, True):
+        got.update((*map(int, paths[f]), int(j))
+                   for f, j in zip(*np.nonzero(_batch.unpack_bits(leaves, m))))
     triples = np.array(list(np.ndindex(m, m, m)))
     mats = cands[triples].swapaxes(1, 2)                  # chosen vectors as columns
     gram = _batch.batch_matmul(z256, mats, mats.swapaxes(1, 2))
     want = {tuple(map(int, t)) for t, g in zip(triples, gram) if (g == k * np.eye(n)).all()}
     assert got == want and len(want) > 0
     assert counter.spent == m + m * m + m ** 3
+
+
+def _walk_by_brute_force(ring, cands, adj, n, k, two_sided):
+    """(leaves, nodes) of `_walk` over all tuples of candidate indices: a
+    tuple is a node when adj[i_a, i_b] for every a < b, and a leaf when it
+    has n entries and, two-sided, its columns have row Gram kI; leaves in
+    lexicographic order."""
+    m, tuples, nodes = len(cands), np.zeros((1, 0), np.intp), 0
+    for _ in range(n):
+        ok = np.ones((len(tuples), m), bool)
+        for a in range(tuples.shape[1]):
+            ok &= adj[tuples[:, a]]
+        f, j = np.nonzero(ok)
+        tuples = np.column_stack([tuples[f], j])
+        nodes += len(tuples)
+    if two_sided:
+        mats = cands[tuples].swapaxes(1, 2)               # chosen vectors as columns
+        gram = _batch.batch_matmul(ring, mats, mats.swapaxes(1, 2))
+        tuples = tuples[(gram == np.diag(np.full(n, k))).all(axis=(1, 2))]
+    return tuples, nodes
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_packed_walk_at_word_boundaries(m, two_sided):
+    # m candidates fill ceil(m / 64) words per row, the last one padded;
+    # a sparse random adjacency, with kI's columns among the candidates and
+    # pairwise adjacent, as the walk checks for idempotent k = 1
+    rng = np.random.default_rng(m)
+    vecs = _batch.all_tuples(Z6.order, 3)
+    unit = [36, 6, 1]                                     # e1, e2, e3
+    rest = rng.permutation(np.setdiff1d(np.arange(len(vecs)), unit))[:m - 3]
+    cands = vecs[np.sort(np.concatenate([unit, rest]))]
+    adj = rng.random((m, m)) < 0.15
+    e = [int(np.flatnonzero((cands == vecs[u]).all(axis=1))[0]) for u in unit]
+    adj[np.ix_(e, e)] = True
+    counter = search._NodeCounter(10 ** 7, 3)
+    got = []
+    for paths, leaves in search._walk(Z6, cands, _batch.pack_bits(adj), 3, 1, counter,
+                                      two_sided):
+        unpacked = _batch.unpack_bits(leaves, m)
+        assert np.array_equal(_batch.pack_bits(unpacked), leaves)   # padding bits stay 0
+        f, j = np.nonzero(unpacked)
+        got.append(np.column_stack([paths[f], j]))
+    want, nodes = _walk_by_brute_force(Z6, cands, adj, 3, 1, two_sided)
+    assert np.array_equal(np.concatenate(got), want) and len(want) >= 6
+    assert counter.spent == nodes
+
+
+def test_walks_without_deeper_nodes():
+    # Z4 at n = 1 has no c with c^2 = 2: no candidate, and zero words per row
+    assert count_semigroup(make_zmod(4), 1, 2, "two_sided") == (0, 4)
+    # Z4 at n = 3, k = 3: the eight columns of odd entries are pairwise
+    # non-orthogonal, so the walk stops at depth 1 (64 + 36 + 8 nodes)
+    census = enumerate_semigroup(make_zmod(4), 3, 3, "two_sided")
+    assert (census.count, census.nodes) == (0, 108)
+    assert census.array.shape == (0, 3, 3)
+
+
+# |LO_4(k, R2)|, |O_4(k, R2)| and the nodes of each two-sided walk, k = 0, v, 1, 1+v
+R2_N4_ROWS = [
+    {"k": "0", "lo": 541696, "o": 10816, "diff": 530880, "nodes": 576672},
+    {"k": "v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 47456},
+    {"k": "1", "lo": 2304, "o": 2304, "diff": 0, "nodes": 8032},
+    {"k": "1+v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 47456},
+]
+
+
+def test_pinned_r2_rows_are_products_over_the_crt_factors():
+    s = split(R2)
+    naive = {(a, side): len(search._naive_array(f, 4, a, side))
+             for f in s.factors for a in (0, 1) for side in ("left", "two_sided")}
+    for row, k in zip(R2_N4_ROWS, R2.idempotents()):
+        assert row["k"] == R2.render(k)
+        parts = s.forward(k)
+        assert row["lo"] == naive[parts[0], "left"] * naive[parts[1], "left"]
+        assert row["o"] == naive[parts[0], "two_sided"] * naive[parts[1], "two_sided"]
+
+
+@pytest.mark.parametrize("chunk", [_batch.CHUNK, 64])
+def test_census_large_cases_are_pinned(monkeypatch, chunk):
+    # at CHUNK = 64 a block holds one node, so each block interns its own rests
+    monkeypatch.setattr(_batch, "CHUNK", chunk)
+    assert census_table(R2, 4) == R2_N4_ROWS
+    assert count_semigroup(make_zmod(5), 4, 4, "two_sided") == (28800, 54805)
+    assert count_semigroup(make_galois_field(3), 4, 1, "two_sided") == (1152, 2277)
 
 
 @pytest.mark.parametrize("ring,n,k", [(Z6, 3, 4), (Z6, 1, 3), (R2, 2, V), (F2, 3, 0)],
@@ -915,7 +1007,7 @@ def _run_with_peak(code):
 
 def test_oversize_walk_fails_with_bounded_memory():
     # Z256 at n = 3 has 4,096 candidates and ~10^8 nodes; the walk must hit
-    # the budget without buffering what it has walked (it peaks near 100 MB)
+    # the budget without buffering what it has walked (it peaks near 71 MB)
     raised, peak_kb = _run_with_peak(
         "from korthos import BudgetExceededError, enumerate_semigroup, make_zmod\n"
         "try:\n"
