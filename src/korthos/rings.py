@@ -481,23 +481,26 @@ class VExtensionRing(Ring):
     def parse_element(self, text):
         s = text.strip().replace(" ", "")
         F = self.base
-        bad = InvalidParameterError(f"cannot parse {_clip(s)} as an element of {self.literal}")
-        if "v" not in s:
-            head, tail = s, None
-        elif s.startswith("v"):
-            head, tail = None, s[1:]
-        else:
-            parts = split_top_level(s, "+v")
-            if len(parts) != 2:
-                raise bad
-            head, tail = parts[0] or None, parts[1]
-        if tail and not tail.startswith("*"):
-            raise bad
+        bad = f"cannot parse {_clip(s)} as an element of {self.literal}"
         try:   # a base field's error would name the field, not this ring
-            a = F.zero if head is None else F.parse_element(head)
-            b = F.zero if tail is None else F.parse_element(tail[1:]) if tail else F.one
+            if "v" not in s:
+                return self.make(F.parse_element(s), F.zero)
+            if s.startswith("v"):
+                head, tail = "", s[1:]
+            else:
+                parts = split_top_level(s, "+v")
+                if len(parts) != 2:
+                    raise InvalidParameterError(bad)
+                head, tail = parts
+            a = F.parse_element(head) if head else F.zero
+            if tail == "":
+                b = F.one
+            elif tail.startswith("*"):
+                b = F.parse_element(tail[1:])
+            else:
+                raise InvalidParameterError(bad)
         except InvalidParameterError:
-            raise bad from None
+            raise InvalidParameterError(bad) from None
         return self.make(a, b)
 
 
