@@ -13,11 +13,11 @@ byte per candidate only when it is expanded, and no block allocates more
 than `_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial
 row Gram once per distinct matrix, not per node, and keeps a node's leaves
 by one AND with the set of candidates whose c c^T equals it.
-`enumerate_semigroup` only counts the leaves.  A census lists its elements on first use as paths: the (count, n)
-indices of each element's columns among the sorted candidates.  Its keys
-are computed from the paths (`_batch.path_keys`), and `census.array`, one
-(count, n, n) uint8 array of entry indices in canonical order, is formed
-only when asked for.
+`enumerate_semigroup` only counts the leaves.  A census lists its elements
+on first use as paths: the (count, n) indices of each element's columns
+among the sorted candidates.  Its keys are computed from the paths
+(`_batch.path_keys`), and `census.array`, one (count, n, n) uint8 array of
+entry indices in canonical order, is formed only when asked for.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes; exceeding it raises and

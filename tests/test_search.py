@@ -764,6 +764,13 @@ def test_listing_walk_must_match_the_count():
     census.nodes += 1
     with pytest.raises(InvariantViolationError, match="walks differ"):
         census.array
+    # more leaves than the count would overflow the listed paths, fewer
+    # would leave some unset
+    for delta in (-1, 1):
+        census = enumerate_semigroup(Z6, 3, 0, "left")
+        census.count += delta
+        with pytest.raises(InvariantViolationError, match="walks differ"):
+            census.array
 
 
 def test_large_counts_factor_over_the_residue_fields():
