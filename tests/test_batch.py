@@ -154,8 +154,8 @@ def test_row_keys_sort_and_match_like_the_rows(order, length):
     assert (_batch.lookup(table, _batch.row_keys(absent, order)) == -1).all()
     # one row is one (0-d) key
     assert _batch.lookup(table, _batch.row_keys(rows[0], order)) == pos[0]
-    # past 1,024 rows the packing runs column by column: the same keys
-    copies = 1025 // len(rows) + 1
+    # past PRODUCT_ROWS rows the packing runs column by column: the same keys
+    copies = (_batch.PRODUCT_ROWS + 1) // len(rows) + 1
     assert np.array_equal(_batch.row_keys(np.tile(rows, (copies, 1)), order),
                           np.tile(keys, copies))
 
