@@ -13,11 +13,14 @@ byte per candidate only when it is expanded, and no block allocates more
 than `_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial
 row Gram once per distinct matrix, not per node, and keeps a node's leaves
 by one AND with the set of candidates whose c c^T equals it.
-`enumerate_semigroup` only counts the leaves.  A census lists its elements
-on first use as paths: the (count, n) indices of each element's columns
-among the sorted candidates.  Its keys are computed from the paths
-(`_batch.path_keys`), and `census.array`, one (count, n, n) uint8 array of
-entry indices in canonical order, is formed only when asked for.
+`enumerate_semigroup` walks once: it counts the leaves and keeps the
+candidates and the leaf blocks while they total at most `LIST_CAP` words.
+A census lists its elements on first use from those blocks, as paths: the
+(count, n) indices of each element's columns among the sorted candidates.
+A census whose blocks passed the cap is counted but not listed.  Its keys
+are computed from the paths (`_batch.path_keys`), and `census.array`, one
+(count, n, n) uint8 array of entry indices in canonical order, is formed
+only when asked for.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes; exceeding it raises and
@@ -58,12 +61,14 @@ from .errors import (
     InvalidParameterError,
     InvariantViolationError,
     NotApplicableError,
+    SizeCapError,
 )
 from .matrices import Mat, _mat, identity
 from .rings import Ring, VExtensionRing, _clip
 
 DEFAULT_BUDGET = 10 ** 8
 NAIVE_CAP = 262_144
+LIST_CAP = 1 << 19   # 8-byte words of leaf blocks a census keeps to list from (4 MB)
 
 SIDES = ("left", "right", "two_sided")
 
@@ -115,8 +120,9 @@ class SemigroupCensus:
 
     The elements are held as `_paths`: the sorted candidate vectors and the
     (count, n) indices of each element's columns (rows for a right census)
-    among them, listed on first use by a second walk or, for a census built
-    from an array, read off the distinct vectors of that array.  `_keys`,
+    among them, listed on first use from `_blocks`, the candidates and leaf
+    blocks of the census's one walk, or, for a census built from an array,
+    read off the distinct vectors of that array.  `_keys`,
     their sorted row keys, are computed from the paths.  `array`, one
     (count, n, n) uint8 array of entry indices in canonical order
     (lexicographic by row-major entries), is formed on first use only;
@@ -133,6 +139,7 @@ class SemigroupCensus:
     nodes: int = 0
     count: int = None
     profile: dict = field(default_factory=dict)
+    _blocks: tuple = field(default=None, repr=False)   # (cands, [(prefix, leaves)] or None)
 
     def __post_init__(self):
         if self.count is None:
@@ -144,31 +151,28 @@ class SemigroupCensus:
         (count, n) intp indices of each element's columns (rows for a right
         census) among them, in no particular order.  A census built from an
         array numbers the distinct vectors of that array, duplicates kept;
-        any other lists its elements by a second walk."""
+        any other lists its elements from the leaf blocks of its walk, and
+        refuses when the walk dropped them past `LIST_CAP`."""
         n, columns = self.n, self.side != "right"
         if self._array is not None:
             vecs = (self._array.swapaxes(1, 2) if columns else self._array).reshape(-1, n)
             _, first, paths = np.unique(_batch.row_keys(vecs, self.ring.order),
                                         return_index=True, return_inverse=True)
             return vecs[first], paths.reshape(-1, n)
-        # the listing walk must agree with the count and the nodes (its budget)
-        counter, cands, blocks = _search(self.ring, n, self.k, self.nodes,
-                                         self.side == "two_sided")
+        cands, blocks = self._blocks
+        if blocks is None:
+            raise SizeCapError(f"cannot list the {self.count} elements: their leaf blocks "
+                               f"exceed the cap of {LIST_CAP} words; only the count is kept")
         m, paths, at = len(cands), np.empty((self.count, n), np.intp), 0
         for prefix, leaves in blocks:
             flat = np.flatnonzero(_batch.unpack_bits(leaves, m))
             end = at + len(flat)
-            if end > self.count:
-                break
             per = np.bitwise_count(leaves).sum(axis=1, dtype=np.intp)   # leaves per node
             for i in range(n - 1):
                 paths[at:end, i] = np.repeat(prefix[:, i], per)
             paths[at:end, -1] = flat % m
             at = end
-        else:
-            if (at, counter.spent) == (self.count, self.nodes):
-                return cands, paths
-        raise InvariantViolationError("search bug: the listing and counting walks differ")
+        return cands, paths
 
     @cached_property
     def _sorted(self):
@@ -250,6 +254,9 @@ def _search(ring, n, k, limit, two_sided=False):
     adj = np.empty((m, -(-m // 64)), dtype="<u8")
     for part in _batch.chunks(m, m * n):
         adj[part] = _batch.pack_bits(_batch.batch_matmul(ring, cands[part], cands.T) == ring.zero)
+    # A^T A = kI with k a unit makes A invertible, A^T = k A^-1, so A A^T = kI:
+    # every left element is two-sided and the leaves need no row test
+    two_sided = two_sided and not ring.is_unit(k)
     return counter, cands, _walk(ring, cands, adj, n, k, counter, two_sided)
 
 
@@ -329,16 +336,24 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
 
 
 def enumerate_semigroup(ring, n, k, side="left", budget=None):
-    """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: a count-only walk
-    gives the count and the nodes, and the census lists its elements on
-    first use (see `SemigroupCensus`)."""
+    """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: one walk gives the
+    count and the nodes, and keeps the candidates and its leaf blocks, as
+    yielded, while they total at most `LIST_CAP` words; the census lists
+    its elements from them on first use (see `SemigroupCensus`)."""
     side = normalize_side(side)
-    counter, _, blocks = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
-    count = sum(int(np.bitwise_count(leaves).sum()) for _, leaves in blocks)
+    counter, cands, walk = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
+    count, words, blocks = 0, 0, []
+    for prefix, leaves in walk:
+        count += int(np.bitwise_count(leaves).sum())
+        words += prefix.size + leaves.size
+        if words > LIST_CAP:
+            blocks = None   # too large to list: the census keeps its count only
+        else:
+            blocks.append((prefix, leaves))
     # the walk checks that kI is an element; I is kI for k = 1, else no element
     checks = {"closure_verified": None, "identity_present": k == ring.one, "is_group": None}
     return SemigroupCensus(ring, n, k, side, checks=checks, nodes=counter.spent,
-                           count=count, profile=counter.profile)
+                           count=count, profile=counter.profile, _blocks=(cands, blocks))
 
 
 def count_semigroup(ring, n, k, side="left", budget=None):

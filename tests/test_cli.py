@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from korthos import enumerate_semigroup, parse_ring
+from korthos import enumerate_semigroup, parse_ring, search
 from korthos.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,6 +257,23 @@ def test_bad_literal_exits_1(capsys, argv):
     assert code == 1
     assert err.startswith("korthos: error:")
     assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_census_past_the_listing_cap(monkeypatch, capsys):
+    # LO_3(0, Z15) keeps 28,710 words of leaf blocks: below that cap it is
+    # counted as before but refuses to list
+    argv = ("census", "--ring", "Z15", "--n", "3", "--k", "0")
+    counts = run_json(capsys, *argv)
+    monkeypatch.setattr(search, "LIST_CAP", 28709)
+    capped = run_json(capsys, *argv)
+    for code, payload, _ in (counts, capped):
+        assert code == 0 and payload.pop("elapsed_ms") >= 0
+    assert capped == counts
+    assert counts[1]["result"]["censuses"][0]["count"] == 78225
+    code, out, err = run(capsys, *argv, "--emit", "matrices", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("korthos: error:") and err.count("\n") == 1
+    assert "78225 elements" in err and "28709 words" in err
 
 
 def test_missing_table_file_exits_1(capsys):

@@ -16,6 +16,7 @@ from korthos import (
     Mat,
     NotApplicableError,
     RingMismatchError,
+    SizeCapError,
     antiorthogonal_exists,
     census_table,
     circulant_characterization_check,
@@ -750,8 +751,6 @@ def test_count_list_and_naive_agree(data):
     count, nodes = count_semigroup(ring, n, k, side)
     census = enumerate_semigroup(ring, n, k, side)
     assert (census.count, census.nodes) == (count, nodes)
-    # listing runs a second walk, which raises unless it visits the same
-    # number of nodes and finds the same number of elements
     assert len(census.array) == count
     if ring.order ** (n * n) <= search.NAIVE_CAP:
         assert np.array_equal(census.array, search._naive_array(ring, n, k, side))
@@ -759,18 +758,63 @@ def test_count_list_and_naive_agree(data):
         assert count == _crt_z6_count(n, k, side)
 
 
-def test_listing_walk_must_match_the_count():
+def test_a_census_walks_once(monkeypatch):
+    calls = []
+    real = search._search
+
+    def counting_search(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_search", counting_search)
     census = enumerate_semigroup(Z6, 3, 0, "left")
-    census.nodes += 1
-    with pytest.raises(InvariantViolationError, match="walks differ"):
+    census.array, census._keys
+    assert scalar_mat(Z6, 0, 3) in census
+    assert verify_closure(census)
+    assert len(calls) == 1
+    # the CRT check walks its own census once; its factors are naive sweeps
+    assert verify_semigroup_isomorphism(Z6, 3, 0, "left")["bijection_ok"]
+    assert len(calls) == 2
+
+
+def test_past_the_cap_a_census_is_counted_but_not_listed(monkeypatch):
+    # LO_3(0, Z15) keeps 28,710 words of leaf blocks
+    z15 = make_zmod(15)
+    full = {side: enumerate_semigroup(z15, 3, 0, side) for side in ("left", "right")}
+    assert sum(p.size + leaves.size for p, leaves in full["left"]._blocks[1]) == 28710
+    monkeypatch.setattr(search, "LIST_CAP", 28709)
+    capped = {side: enumerate_semigroup(z15, 3, 0, side) for side in ("left", "right")}
+    for side, census in capped.items():
+        assert census._blocks[1] is None
+        assert (census.count, census.nodes, census.profile) == (
+            full[side].count, full[side].nodes, full[side].profile)
+    left = capped["left"]
+    for use in (lambda: left.array, lambda: left._keys,
+                lambda: identity(z15, 3) in left, lambda: verify_closure(left),
+                lambda: transpose_bijection_check(left, full["right"]),
+                lambda: transpose_bijection_check(full["left"], capped["right"])):
+        with pytest.raises(SizeCapError, match="78225 elements.*28709 words"):
+            use()
+
+
+def test_large_counts_keep_no_blocks():
+    census = enumerate_semigroup(Z6, 4, 0)
+    assert census.count == 37683936 and census._blocks[1] is None
+    with pytest.raises(SizeCapError):
         census.array
-    # more leaves than the count would overflow the listed paths, fewer
-    # would leave some unset
-    for delta in (-1, 1):
-        census = enumerate_semigroup(Z6, 3, 0, "left")
-        census.count += delta
-        with pytest.raises(InvariantViolationError, match="walks differ"):
-            census.array
+
+
+@pytest.mark.parametrize("ring,n", WALK_CASES, ids=lambda x: getattr(x, "literal", str(x)))
+def test_unit_k_two_sided_census_is_the_left_census(ring, n):
+    # A^T A = kI with k a unit makes A invertible, so A A^T = kI: the two
+    # walks agree, and agree with the naive two-sided sweep where it runs
+    for k in sorted(ring.units()):
+        left = enumerate_semigroup(ring, n, k, "left")
+        two = enumerate_semigroup(ring, n, k, "two_sided")
+        assert (two.count, two.nodes, two.profile) == (left.count, left.nodes, left.profile)
+        assert two.array.tobytes() == left.array.tobytes()
+        if ring.order ** (n * n) <= search.NAIVE_CAP:
+            assert np.array_equal(two.array, search._naive_array(ring, n, k, "two_sided"))
 
 
 def test_large_counts_factor_over_the_residue_fields():
@@ -934,7 +978,6 @@ def test_census_large_cases_are_pinned(monkeypatch, chunk):
                          ids=lambda x: getattr(x, "literal", str(x)))
 @pytest.mark.parametrize("side", SIDES)
 def test_missing_scalar_column_is_an_invariant_violation(monkeypatch, ring, n, k, side):
-    census = enumerate_semigroup(ring, n, k, side)
     real = search._column_candidates
 
     def without_k_en(ring, n, k, counter):
@@ -943,9 +986,7 @@ def test_missing_scalar_column_is_an_invariant_violation(monkeypatch, ring, n, k
 
     monkeypatch.setattr(search, "_column_candidates", without_k_en)
     with pytest.raises(InvariantViolationError, match="scalar matrix missing"):
-        enumerate_semigroup(ring, n, k, side)           # counting
-    with pytest.raises(InvariantViolationError, match="scalar matrix missing"):
-        census.array                                      # listing
+        enumerate_semigroup(ring, n, k, side)
 
 
 def test_antiortho_search_reports_its_nodes():
