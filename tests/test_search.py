@@ -778,8 +778,9 @@ def test_a_census_walks_once(monkeypatch):
 
 
 def test_past_the_cap_a_census_is_counted_but_not_listed(monkeypatch):
-    # LO_3(0, Z15) keeps 28,710 words of leaf blocks
+    # LO_3(0, Z15) keeps 28,710 words of leaf blocks: it lists at that cap
     z15 = make_zmod(15)
+    monkeypatch.setattr(search, "LIST_CAP", 28710)
     full = {side: enumerate_semigroup(z15, 3, 0, side) for side in ("left", "right")}
     assert sum(p.size + leaves.size for p, leaves in full["left"]._blocks[1]) == 28710
     monkeypatch.setattr(search, "LIST_CAP", 28709)
@@ -795,13 +796,6 @@ def test_past_the_cap_a_census_is_counted_but_not_listed(monkeypatch):
                 lambda: transpose_bijection_check(full["left"], capped["right"])):
         with pytest.raises(SizeCapError, match="78225 elements.*28709 words"):
             use()
-
-
-def test_large_counts_keep_no_blocks():
-    census = enumerate_semigroup(Z6, 4, 0)
-    assert census.count == 37683936 and census._blocks[1] is None
-    with pytest.raises(SizeCapError):
-        census.array
 
 
 @pytest.mark.parametrize("ring,n", WALK_CASES, ids=lambda x: getattr(x, "literal", str(x)))
@@ -821,7 +815,12 @@ def test_large_counts_factor_over_the_residue_fields():
     # |LO_4(0, Z6)| = |LO_4(0, F2)| * |LO_4(0, F3)| = 736 * 51,201
     f3 = count_semigroup(make_zmod(3), 4, 0)[0]
     assert f3 == 51201
-    assert count_semigroup(Z6, 4, 0)[0] == len(enumerate_naive(F2, 4, 0)) * f3 == 37683936
+    census = enumerate_semigroup(Z6, 4, 0)
+    assert census.count == len(enumerate_naive(F2, 4, 0)) * f3 == 37683936
+    # its leaf blocks pass LIST_CAP: the census keeps none and does not list
+    assert census._blocks[1] is None
+    with pytest.raises(SizeCapError):
+        census.array
 
 
 def _walk_results():
