@@ -14,7 +14,8 @@ Every sum or product of index arrays is one gather from the flat table,
 no temporary outgrows the result.  `fold_add` sums a determinant's terms.
 Sets of rows are held as `row_keys`, one ``uint64`` per row when the row
 fits in 64 bits, and are matched by `lookup`; `path_keys` gives the same
-keys for matrices held as paths through a candidate list.  Sets of
+keys for matrices held as paths through a candidate list, and `key_rows`
+turns keys back into rows.  Sets of
 candidates are `pack_bits` rows of ``uint64`` words, one bit per candidate.
 """
 
@@ -57,8 +58,9 @@ def _gather(table, x, y):
     """table[x, y] for a (q, q) ring table and index arrays (or scalars) x
     and y, broadcasting: one gather from the flat table at x*q + y.  That
     is at most 65,535, and NumPy 2 promotes uint8 operands times a uint16
-    q to uint16, so the index is uint16."""
-    return table.ravel()[x * np.uint16(table.shape[1]) + y]
+    q to uint16, so the index is uint16.  `take` gathers by it directly,
+    where fancy indexing would first cast it to intp on a slower path."""
+    return table.ravel().take(x * np.uint16(table.shape[1]) + y)
 
 
 def fold_add(ring, t):
@@ -158,6 +160,19 @@ def row_keys(flat, order):
         return keys
     flat = np.ascontiguousarray(flat)
     return flat.view(np.dtype((np.void, length)))[..., 0]
+
+
+def key_rows(keys, order, length):
+    """The (count, length) uint8 rows whose `row_keys` are `keys`: a packed
+    key is unpacked entry by entry, a bytes key is its own entries."""
+    if keys.dtype.kind == "V":
+        return np.ascontiguousarray(keys).view(np.uint8).reshape(-1, length).copy()
+    bits = max(1, (order - 1).bit_length())
+    rows, entry = np.empty((len(keys), length), np.uint8), np.empty(len(keys), np.uint64)
+    for j in range(length):
+        np.right_shift(keys, np.uint64(bits * (length - 1 - j)), out=entry)
+        rows[:, j] = np.bitwise_and(entry, np.uint64((1 << bits) - 1), out=entry)
+    return rows
 
 
 def path_keys(cands, paths, order, columns=True):

@@ -6,27 +6,34 @@ assignment is extended only by columns orthogonal to every settled column.
 The right census runs the identical search on rows; the two-sided census
 keeps the left elements whose row Gram sum_j c_j c_j^T is kI.
 
-The search walks the orthogonality graph of the candidates depth first in
-blocks of nodes (`_walk`).  Each node's set of admissible next columns is
-one row of uint64 words, a bit per candidate; a block is unpacked to one
-byte per candidate only when it is expanded, and no block allocates more
-than `_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial
-row Gram once per distinct matrix, not per node, and keeps a node's leaves
-by one AND with the set of candidates whose c c^T equals it.
-`enumerate_semigroup` walks once: it counts the leaves and keeps the
-candidates and the leaf blocks while they total at most `LIST_CAP` words.
-A census lists its elements on first use from those blocks, as paths: the
-(count, n) indices of each element's columns among the sorted candidates.
-A census whose blocks passed the cap is counted but not listed.  Its keys
-are computed from the paths (`_batch.path_keys`), and `census.array`, one
-(count, n, n) uint8 array of entry indices in canonical order, is formed
-only when asked for.
+Permuting the columns of A changes neither A^T A nor A A^T = sum_j c_j c_j^T,
+so the search walks multisets of columns, not sequences (orderly
+generation): a node is extended only by candidates at or after its last
+one, and a leaf multiset stands for its n!/(r_1! ... r_s!) distinct
+orderings, r_i the sizes of its runs of equal columns.  Columns repeat only
+when k = 0, as two equal columns c need <c, c> = 0 = k.  The walk runs
+depth first over the orthogonality graph of the candidates in blocks of
+nodes (`_walk`).  Each node's set of admissible next columns is one row of
+uint64 words, a bit per candidate; a block is unpacked to one byte per
+candidate only when it is expanded, and no block allocates more than
+`_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial row
+Gram once per distinct matrix, not per node, and keeps a node's leaves by
+one AND with the set of candidates whose c c^T equals it.
+`enumerate_semigroup` walks once: it weighs each leaf by its orderings for
+the count, and keeps the candidates and the leaf blocks while the blocks
+and the listed paths each total at most `LIST_CAP` words.  A census lists
+its elements on first use from those blocks, as paths: the (count, n)
+indices of each element's columns among the sorted candidates, each leaf
+expanded into its distinct orderings.  A census past the cap is counted but
+not listed.  Its sorted keys are computed from the paths
+(`_batch.path_keys`), and `census.array`, one (count, n, n) uint8 array of
+entry indices in canonical order, is decoded from them when asked for.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
-variable) bounds the number of visited search nodes; exceeding it raises and
-returns nothing partial.  Every stage charges its nodes before it allocates,
-so an oversize search fails at once, and the error names the budget, the
-nodes counted and the nodes per stage.  `enumerate_naive` is the
+variable) bounds the number of visited search nodes, each a multiset;
+exceeding it raises and returns nothing partial.  Every stage charges its
+nodes before it allocates, so an oversize search fails at once, and the
+error names the budget, the nodes counted and the nodes per stage.  `enumerate_naive` is the
 independent brute-force oracle: it tests every one of the |R|^(n*n)
 matrices directly against the defining equation without forming the matrix
 products.  A^T A = kI is a meet-in-the-middle join: the key of kI minus the
@@ -48,6 +55,8 @@ pass or fail by one subset test.  It never forms the m*m products.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 import os
 from dataclasses import dataclass, field
@@ -68,7 +77,8 @@ from .rings import Ring, VExtensionRing, _clip
 
 DEFAULT_BUDGET = 10 ** 8
 NAIVE_CAP = 262_144
-LIST_CAP = 1 << 19   # 8-byte words of leaf blocks a census keeps to list from (4 MB)
+# 8-byte words a census may keep as leaf blocks, and list as paths (32 MB each)
+LIST_CAP = 1 << 22
 
 SIDES = ("left", "right", "two_sided")
 
@@ -121,13 +131,17 @@ class SemigroupCensus:
     The elements are held as `_paths`: the sorted candidate vectors and the
     (count, n) indices of each element's columns (rows for a right census)
     among them, listed on first use from `_blocks`, the candidates and leaf
-    blocks of the census's one walk, or, for a census built from an array,
-    read off the distinct vectors of that array.  `_keys`,
-    their sorted row keys, are computed from the paths.  `array`, one
-    (count, n, n) uint8 array of entry indices in canonical order
-    (lexicographic by row-major entries), is formed on first use only;
-    `elements` lists them as `Mat` views.  `checks` values are
-    True/False once the corresponding verification has run, else None.
+    multisets of the census's one walk, each expanded into its distinct
+    orderings, or, for a census built from an array, read off the distinct
+    vectors of that array.  `_keys`, the elements' sorted row keys, are
+    computed from the paths; `array`, one (count, n, n) uint8 array of entry
+    indices in canonical order (lexicographic by row-major entries), is
+    decoded from them on first use only; `elements` lists them as `Mat`
+    views.  `nodes` and `profile` count the multisets the walk visited, and
+    `one_sided_count` is the count of the one-sided census the walk filtered
+    (|LO_n(k,R)| for a two-sided census, else `count`).
+    `checks` values are True/False once the corresponding verification has
+    run, else None.
     """
 
     ring: Ring
@@ -139,6 +153,7 @@ class SemigroupCensus:
     nodes: int = 0
     count: int = None
     profile: dict = field(default_factory=dict)
+    one_sided_count: int = None
     _blocks: tuple = field(default=None, repr=False)   # (cands, [(prefix, leaves)] or None)
 
     def __post_init__(self):
@@ -151,8 +166,10 @@ class SemigroupCensus:
         (count, n) intp indices of each element's columns (rows for a right
         census) among them, in no particular order.  A census built from an
         array numbers the distinct vectors of that array, duplicates kept;
-        any other lists its elements from the leaf blocks of its walk, and
-        refuses when the walk dropped them past `LIST_CAP`."""
+        any other lists the leaf multisets of its walk, grouped by which
+        neighbours are equal, and writes each group's distinct orderings
+        (`_orderings`) into the paths.  It refuses when the walk dropped its
+        blocks past `LIST_CAP`."""
         n, columns = self.n, self.side != "right"
         if self._array is not None:
             vecs = (self._array.swapaxes(1, 2) if columns else self._array).reshape(-1, n)
@@ -161,33 +178,43 @@ class SemigroupCensus:
             return vecs[first], paths.reshape(-1, n)
         cands, blocks = self._blocks
         if blocks is None:
-            raise SizeCapError(f"cannot list the {self.count} elements: their leaf blocks "
-                               f"exceed the cap of {LIST_CAP} words; only the count is kept")
-        m, paths, at = len(cands), np.empty((self.count, n), np.intp), 0
+            raise SizeCapError(f"cannot list the {self.count} elements: their paths or leaf "
+                               f"blocks exceed the cap of {LIST_CAP} words; only the count "
+                               f"is kept")
+        m = len(cands)
+        sets = np.empty((sum(int(np.bitwise_count(leaves).sum()) for _, leaves in blocks), n),
+                        np.intp)
+        at = 0
         for prefix, leaves in blocks:
             flat = np.flatnonzero(_batch.unpack_bits(leaves, m))
             end = at + len(flat)
             per = np.bitwise_count(leaves).sum(axis=1, dtype=np.intp)   # leaves per node
             for i in range(n - 1):
-                paths[at:end, i] = np.repeat(prefix[:, i], per)
-            paths[at:end, -1] = flat % m
+                sets[at:end, i] = np.repeat(prefix[:, i], per)
+            sets[at:end, -1] = flat % m
+            at = end
+        tied = np.zeros(len(sets), np.intp)          # bit i: columns i and i + 1 are equal
+        for i in range(n - 1):
+            tied |= (sets[:, i] == sets[:, i + 1]) << i
+        sizes = np.bincount(tied)
+        patterns = [int(p) for p in np.flatnonzero(sizes)]
+        listed = sum(int(sizes[p]) * len(_orderings(n, p)) for p in patterns)
+        if listed != self.count:
+            raise InvariantViolationError(
+                f"search bug: the leaves have {listed} orderings but weigh {self.count}")
+        paths, at = np.empty((self.count, n), np.intp), 0
+        for p in patterns:
+            perms = _orderings(n, p)
+            end = at + int(sizes[p]) * len(perms)
+            np.take(sets if len(patterns) == 1 else sets[tied == p], perms, axis=1,
+                    out=paths[at:end].reshape(-1, len(perms), n), mode="clip")
             at = end
         return cands, paths
 
     @cached_property
-    def _sorted(self):
-        """(order, keys): the permutation of `_paths` into canonical order
-        and the elements' row keys in that order (see `_batch.path_keys`)."""
-        cands, paths = self._paths
-        keys = _batch.path_keys(cands, paths, self.ring.order, self.side != "right")
-        order = np.argsort(keys, kind="stable")
-        return order, keys[order]
-
-    @cached_property
     def array(self):
-        cands, paths = self._paths
-        arr = cands[paths[self._sorted[0]]]          # chosen vectors as rows
-        return arr if self.side == "right" else arr.swapaxes(1, 2)   # vectors as columns
+        return _batch.key_rows(self._keys, self.ring.order, self.n * self.n).reshape(
+            -1, self.n, self.n)
 
     @cached_property
     def elements(self):
@@ -195,7 +222,8 @@ class SemigroupCensus:
 
     @cached_property
     def _keys(self):
-        return self._sorted[1]
+        cands, paths = self._paths
+        return np.sort(_batch.path_keys(cands, paths, self.ring.order, self.side != "right"))
 
     def element_set(self):
         return set(self.elements)
@@ -241,8 +269,9 @@ def _check_degree(n):
 def _search(ring, n, k, limit, two_sided=False):
     """Validate, sweep the candidates and their pairs, and return (counter,
     cands, the `_walk` generator).  Row i of `adj` is the set of candidates
-    orthogonal to candidate i (pair Gram matrix kI), packed in uint64 words
-    by `_batch.pack_bits`; one node per unordered pair."""
+    j >= i orthogonal to candidate i (pair Gram matrix kI), packed in uint64
+    words by `_batch.pack_bits`, so the walk visits each multiset of columns
+    once, as its sorted path; one node per unordered pair."""
     _check_degree(n)
     ring.check_element(k)
     if n >= limit.bit_length():   # then |R|^n >= 2^n > limit candidates
@@ -253,7 +282,10 @@ def _search(ring, n, k, limit, two_sided=False):
     m = len(cands)
     adj = np.empty((m, -(-m // 64)), dtype="<u8")
     for part in _batch.chunks(m, m * n):
-        adj[part] = _batch.pack_bits(_batch.batch_matmul(ring, cands[part], cands.T) == ring.zero)
+        # row i keeps bit j for j >= i: word w drops its max(i - 64 w, 0) low bits
+        below = np.maximum(np.arange(m)[part, None] - 64 * np.arange(adj.shape[1]), 0)
+        adj[part] = (_batch.pack_bits(_batch.batch_matmul(ring, cands[part], cands.T) == ring.zero)
+                     & np.left_shift(~np.uint64(0), below.astype(np.uint64)))
     # A^T A = kI with k a unit makes A invertible, A^T = k A^-1, so A A^T = kI:
     # every left element is two-sided and the leaves need no row test
     two_sided = two_sided and not ring.is_unit(k)
@@ -263,12 +295,15 @@ def _search(ring, n, k, limit, two_sided=False):
 def _walk(ring, cands, adj, n, k, counter, two_sided):
     """Walk the search tree depth first, in blocks of b nodes of depth d:
     `paths` (b, d) the candidates chosen and `allowed` (b, ceil(m / 64)) the
-    candidates orthogonal to all of them as `_batch.pack_bits` words (a
-    child by j has `allowed[p] & adj[j]`).  A popped block charges its
-    children, then unpacks its sets and pushes the children in pieces of
-    `rows` nodes built only when popped.  Yields (paths, leaves) per block
-    of depth n - 1, in row-major order, `leaves` the packed sets of the
-    children that are elements; for idempotent k it checks that kI is one.
+    candidates that `adj` admits after all of them, as `_batch.pack_bits`
+    words (a child by j has `allowed[p] & adj[j]`).  `_search`'s `adj`
+    admits only later candidates, so the paths are sorted multisets.  A
+    popped block charges its children, then unpacks its sets and pushes the
+    children in pieces of `rows` nodes built only when popped.  Yields
+    (paths, children, leaves) per block of depth n - 1, in row-major order:
+    `children` the packed sets of the left elements (A^T A = kI) below each
+    node and `leaves` those of the elements, `children` itself when one-sided.
+    For idempotent k it checks that kI's sorted columns are a leaf.
 
     Two-sided, the candidates fall into classes of equal c c^T, each with
     one packed member mask.  A block carries `rest`, a table of matrices kI
@@ -286,7 +321,7 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     rows = max(1, _batch.CHUNK // (m + n * n))
     target = np.diag(np.full(n, k, dtype=np.uint8))
     hit = (cands[None, :, :] == target[:, None, :]).all(axis=-1)
-    probe = hit.argmax(axis=1) if hit.any(axis=1).all() else None   # kI's columns
+    probe = np.sort(hit.argmax(axis=1)) if hit.any(axis=1).all() else None   # kI's columns
     if two_sided:
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
         keys, first, cls = np.unique(_batch.row_keys(outer.reshape(m, n * n), ring.order),
@@ -313,7 +348,7 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
             if probe is not None:
                 word = leaves[(paths == probe[:-1]).all(axis=1), probe[-1] // 64]
                 seen = seen or bool((word >> np.uint64(probe[-1] % 64) & np.uint64(1)).any())
-            yield paths, leaves
+            yield paths, allowed, leaves
         if not stack:
             break
         (paths, allowed, rid, rest), piece = stack.pop()
@@ -335,25 +370,67 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
         )
 
 
+def _weigh(prefix, leaves, repeats):
+    """The number of elements that the leaves of a block stand for: a leaf
+    multiset whose runs of equal columns have sizes r_1, ..., r_s has
+    n!/(r_1! ... r_s!) distinct orderings.  Columns repeat only when k = 0
+    (`repeats`), so for any other k each leaf has n!.  A leaf after the last
+    column of its node's prefix adds no run, and one equal to it lengthens
+    the last run to r + 1, dividing the node's weight by r + 1.  The int64
+    sums are exact while n! times a block's leaves, at most `_batch.CHUNK`,
+    stays below 2^63: for n <= 15."""
+    b, d = prefix.shape
+    if not repeats or d == 0:
+        return math.factorial(d + 1) * int(np.bitwise_count(leaves).sum())
+    per = np.bitwise_count(leaves).sum(axis=1, dtype=np.int64)   # leaves per node
+    last = prefix[:, -1]
+    repeat = (leaves[np.arange(b), last >> 6] >> (last & 63).astype(np.uint64)
+              & np.uint64(1)).view(np.int64)     # the leaf equal to the last column
+    run, runs = 1, 1                              # each prefix's last run, its runs' r! product
+    for i in range(1, d):
+        run = np.where(prefix[:, i] == prefix[:, i - 1], run + 1, 1)
+        runs = runs * run
+    weight = math.factorial(d + 1) // runs        # of a leaf after the last column
+    return int((weight * per - (weight - weight // (run + 1)) * repeat).sum())
+
+
+@functools.cache
+def _orderings(n, tied):
+    """The distinct orderings of a sorted path of n candidates whose entries
+    i and i + 1 are equal for each set bit i of `tied`, as the rows of
+    positions into the path: the permutations that keep equal entries in
+    path order.  Read-only, as every call shares them."""
+    perms = _batch._permutations(n)[0]
+    slot = np.argsort(perms, axis=1)              # slot[s, i]: where entry i goes
+    ties = [i for i in range(n - 1) if tied >> i & 1]
+    keep = perms[(slot[:, ties] < slot[:, [i + 1 for i in ties]]).all(axis=1)]
+    keep.flags.writeable = False
+    return keep
+
+
 def enumerate_semigroup(ring, n, k, side="left", budget=None):
     """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: one walk gives the
-    count and the nodes, and keeps the candidates and its leaf blocks, as
-    yielded, while they total at most `LIST_CAP` words; the census lists
-    its elements from them on first use (see `SemigroupCensus`)."""
+    nodes and, weighing each leaf multiset by its orderings, the count, and
+    keeps the candidates and its leaf blocks, as yielded, while the blocks
+    and the paths they list total at most `LIST_CAP` words each; the census
+    lists its elements from them on first use (see `SemigroupCensus`)."""
     side = normalize_side(side)
     counter, cands, walk = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
-    count, words, blocks = 0, 0, []
-    for prefix, leaves in walk:
-        count += int(np.bitwise_count(leaves).sum())
+    count, left, words, blocks, repeats = 0, 0, 0, [], k == ring.zero
+    for prefix, children, leaves in walk:
+        found = _weigh(prefix, leaves, repeats)
+        count += found
+        left += found if children is leaves else _weigh(prefix, children, repeats)
         words += prefix.size + leaves.size
-        if words > LIST_CAP:
+        if max(words, count * n) > LIST_CAP:
             blocks = None   # too large to list: the census keeps its count only
         else:
             blocks.append((prefix, leaves))
     # the walk checks that kI is an element; I is kI for k = 1, else no element
     checks = {"closure_verified": None, "identity_present": k == ring.one, "is_group": None}
     return SemigroupCensus(ring, n, k, side, checks=checks, nodes=counter.spent,
-                           count=count, profile=counter.profile, _blocks=(cands, blocks))
+                           count=count, profile=counter.profile, one_sided_count=left,
+                           _blocks=(cands, blocks))
 
 
 def count_semigroup(ring, n, k, side="left", budget=None):
@@ -615,12 +692,14 @@ def census_table(ring, n, budget=None):
     the census tables (|LO| = |RO|, |O|, and their difference).
 
     O = LO ∩ RO is the left search filtered by the row condition, so one
-    count-only walk per idempotent gives both: its leaves are LO.
+    count-only walk per idempotent gives both: |LO| is the two-sided
+    census's `one_sided_count`, its leaf multisets before the row test
+    weighed by their orderings.
     """
     rows = []
     for k in ring.idempotents():
         o = enumerate_semigroup(ring, n, k, "two_sided", budget=budget)
-        lo = o.profile[f"depth {n}"]
+        lo = o.one_sided_count
         rows.append({
             "k": ring.render(k),
             "lo": lo,
@@ -644,7 +723,7 @@ def _antiorthogonal_search(ring, n, budget=None):
     """(witness or None, nodes): the walk stops at its first leaf."""
     k = ring.neg(ring.one)
     counter, cands, blocks = _search(ring, n, k, resolve_budget(budget))
-    for paths, leaves in blocks:
+    for paths, _, leaves in blocks:
         if leaves.any():
             f, j = divmod(int(_batch.unpack_bits(leaves, len(cands)).argmax()), len(cands))
             break

@@ -260,11 +260,11 @@ def test_bad_literal_exits_1(capsys, argv):
 
 
 def test_census_past_the_listing_cap(monkeypatch, capsys):
-    # LO_3(0, Z15) keeps 28,710 words of leaf blocks: below that cap it is
+    # LO_3(0, Z15) lists 234,675 words of paths: below that cap it is
     # counted as before but refuses to list
     argv = ("census", "--ring", "Z15", "--n", "3", "--k", "0")
     counts = run_json(capsys, *argv)
-    monkeypatch.setattr(search, "LIST_CAP", 28709)
+    monkeypatch.setattr(search, "LIST_CAP", 234674)
     capped = run_json(capsys, *argv)
     for code, payload, _ in (counts, capped):
         assert code == 0 and payload.pop("elapsed_ms") >= 0
@@ -273,7 +273,7 @@ def test_census_past_the_listing_cap(monkeypatch, capsys):
     code, out, err = run(capsys, *argv, "--emit", "matrices", "--format", "json")
     assert (code, out) == (1, "")
     assert err.startswith("korthos: error:") and err.count("\n") == 1
-    assert "78225 elements" in err and "28709 words" in err
+    assert "78225 elements" in err and "234674 words" in err
 
 
 def test_missing_table_file_exits_1(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -660,9 +661,10 @@ def test_census_table_matches_separate_searches(ring, n):
 
 
 def test_node_counts_are_pinned():
-    assert enumerate_semigroup(Z6, 3, 0, "left").nodes == 3558
-    assert enumerate_semigroup(Z6, 3, 4, "left").nodes == 1836
-    assert enumerate_semigroup(make_galois_field(3), 4, 1, "two_sided").nodes == 2277
+    # the walk visits multisets of columns: one node per sorted path
+    assert enumerate_semigroup(Z6, 3, 0, "left").nodes == 1663
+    assert enumerate_semigroup(Z6, 3, 4, "left").nodes == 836
+    assert enumerate_semigroup(make_galois_field(3), 4, 1, "two_sided").nodes == 621
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +779,18 @@ def test_a_census_walks_once(monkeypatch):
     assert len(calls) == 2
 
 
+def _block_words(census):
+    return sum(p.size + leaves.size for p, leaves in census._blocks[1])
+
+
 def test_past_the_cap_a_census_is_counted_but_not_listed(monkeypatch):
-    # LO_3(0, Z15) keeps 28,710 words of leaf blocks: it lists at that cap
+    # LO_3(0, Z15) lists 78,225 * 3 = 234,675 path words from 15,030 words of
+    # leaf blocks: it lists at a cap of exactly its paths
     z15 = make_zmod(15)
-    monkeypatch.setattr(search, "LIST_CAP", 28710)
-    full = {side: enumerate_semigroup(z15, 3, 0, side) for side in ("left", "right")}
-    assert sum(p.size + leaves.size for p, leaves in full["left"]._blocks[1]) == 28710
-    monkeypatch.setattr(search, "LIST_CAP", 28709)
+    monkeypatch.setattr(search, "LIST_CAP", 234675)
+    full = {side: enumerate_semigroup(z15, 3, 0, side) for side in SIDES}
+    assert (full["left"].count * 3, _block_words(full["left"])) == (234675, 15030)
+    monkeypatch.setattr(search, "LIST_CAP", 234674)
     capped = {side: enumerate_semigroup(z15, 3, 0, side) for side in ("left", "right")}
     for side, census in capped.items():
         assert census._blocks[1] is None
@@ -794,8 +801,19 @@ def test_past_the_cap_a_census_is_counted_but_not_listed(monkeypatch):
                 lambda: identity(z15, 3) in left, lambda: verify_closure(left),
                 lambda: transpose_bijection_check(left, full["right"]),
                 lambda: transpose_bijection_check(full["left"], capped["right"])):
-        with pytest.raises(SizeCapError, match="78225 elements.*28709 words"):
+        with pytest.raises(SizeCapError, match="78225 elements.*234674 words"):
             use()
+    # O_3(0, Z15) lists 4,785 * 3 = 14,355 path words from 15,030 words of
+    # leaf blocks: it lists at a cap of exactly its blocks
+    two = full["two_sided"]
+    assert (two.count * 3, _block_words(two)) == (14355, 15030)
+    monkeypatch.setattr(search, "LIST_CAP", 15030)
+    assert enumerate_semigroup(z15, 3, 0, "two_sided").array.tobytes() == two.array.tobytes()
+    monkeypatch.setattr(search, "LIST_CAP", 15029)
+    capped = enumerate_semigroup(z15, 3, 0, "two_sided")
+    assert capped._blocks[1] is None and capped.count == 4785
+    with pytest.raises(SizeCapError, match="4785 elements.*15029 words"):
+        capped.array
 
 
 @pytest.mark.parametrize("ring,n", WALK_CASES, ids=lambda x: getattr(x, "literal", str(x)))
@@ -817,10 +835,82 @@ def test_large_counts_factor_over_the_residue_fields():
     assert f3 == 51201
     census = enumerate_semigroup(Z6, 4, 0)
     assert census.count == len(enumerate_naive(F2, 4, 0)) * f3 == 37683936
-    # its leaf blocks pass LIST_CAP: the census keeps none and does not list
+    # its paths pass LIST_CAP: the census keeps no blocks and does not list
     assert census._blocks[1] is None
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=f"37683936 elements.*{search.LIST_CAP} words"):
         census.array
+
+
+def test_the_listing_cap_admits_lo4_zero_over_r2():
+    # LO_4(0, R2) lists 541,696 * 4 = 2,166,784 path words, within LIST_CAP;
+    # LO_5(0, GF(3)) and LO_6(0, GF(2)) keep fewer words of leaf blocks, but
+    # their paths pass it: they are counted and refuse to list
+    census = enumerate_semigroup(R2, 4, 0)
+    assert census.count * 4 == 2166784 <= search.LIST_CAP
+    assert len(census._keys) == 541696
+    for ring, n, count in [(make_galois_field(3), 5, 2332881), (F2, 6, 3810304)]:
+        census = enumerate_semigroup(ring, n, 0)
+        assert census.count == count and census._blocks[1] is None
+        with pytest.raises(SizeCapError, match=f"{count} elements.*{search.LIST_CAP} words"):
+            census._keys
+
+
+def _lo_zero_over_a_field(q, n):
+    """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
+    A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
+    and N_r is the number of those subspaces, for the dot product x.y."""
+    def s(m, r):                                  # prod_{i<r} (q^(2(m-i)) - 1)/(q^(i+1) - 1)
+        return math.prod(q ** (2 * (m - i)) - 1 for i in range(r)) // math.prod(
+            q ** (i + 1) - 1 for i in range(r))
+
+    def subspaces(r):
+        if q % 2 == 0:          # isotropic vectors span the hyperplane sum x_i = 0
+            return s((n - 1) // 2, r) if n % 2 else (
+                (s((n - 2) // 2, r - 1) if r else 0) + q ** r * s((n - 2) // 2, r))
+        if n % 2:
+            return s(n // 2, r)
+        m = n // 2
+        eps = 1 if m % 2 == 0 or q % 4 == 1 else -1   # (-1)^m a square in F_q
+        top = math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r))
+        return top // math.prod(q ** (i + 1) - 1 for i in range(r))
+
+    return sum(subspaces(r) * math.prod(q ** n - q ** i for i in range(r))
+               for r in range(n + 1))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (7, 2), (9, 2)])
+def test_lo_zero_closed_form_matches_the_naive_sweep(q, n):
+    p = {4: 2, 9: 3}.get(q, q)
+    field = make_galois_field(p, round(math.log(q, p)))
+    assert _lo_zero_over_a_field(q, n) == len(search._naive_array(field, n, 0))
+
+
+@pytest.mark.parametrize("q,n,count", [(2, 7, 272922112), (3, 6, 148069377)])
+def test_orderly_walk_counts_past_the_sequence_walks_reach(monkeypatch, q, n, count):
+    # a walk over sequences of columns passes the default budget on both
+    monkeypatch.delenv("KORTHOS_BUDGET", raising=False)
+    assert _lo_zero_over_a_field(q, n) == count
+    census = enumerate_semigroup(make_galois_field(q), n, 0)
+    assert census.count == count and census.nodes < search.DEFAULT_BUDGET
+    assert census._blocks[1] is None            # count * n passes LIST_CAP
+
+
+@pytest.mark.parametrize("ring,n", [(ring, n) for ring in (make_zmod(4), Z6, R2)
+                                    for n in (2, 3)],
+                         ids=lambda x: getattr(x, "literal", str(x)))
+@pytest.mark.parametrize("side", SIDES)
+def test_repeated_columns_list_each_ordering_once(ring, n, side):
+    # k = 0 leaves repeat columns (kI itself is one column n times), and
+    # each leaf lists only its distinct orderings
+    census = enumerate_semigroup(ring, n, 0, side)
+    paths = census._paths[1]
+    assert (paths[:, 1:] == paths[:, :-1]).any()
+    assert len(np.unique(census._keys)) == census.count
+    if ring.order ** (n * n) <= search.NAIVE_CAP:
+        assert np.array_equal(census.array, search._naive_array(ring, n, 0, side))
+    else:
+        assert census.count == _crt_z6_count(n, 0, side)
 
 
 def _walk_results():
@@ -845,12 +935,12 @@ def test_small_blocks_give_identical_results(monkeypatch):
     real_walk = search._walk
 
     def recording_walk(ring, cands, adj, n, k, counter, two_sided):
-        for paths, leaves in real_walk(ring, cands, adj, n, k, counter, two_sided):
+        for paths, children, leaves in real_walk(ring, cands, adj, n, k, counter, two_sided):
             shapes.append((len(paths), len(cands) + n * n))
             # one bit per candidate, the padding bits of the last word zero
             unpacked = _batch.unpack_bits(leaves, len(cands))
             assert np.array_equal(_batch.pack_bits(unpacked), leaves)
-            yield paths, leaves
+            yield paths, children, leaves
 
     monkeypatch.setattr(_batch, "CHUNK", 64)
     monkeypatch.setattr(search, "_walk", recording_walk)
@@ -876,7 +966,7 @@ def test_two_sided_leaves_compare_wide_keys(k):
     counter = search._NodeCounter(10 ** 6, n)
     got = set()
     adj = _batch.pack_bits(np.ones((m, m), bool))
-    for paths, leaves in search._walk(z256, cands, adj, n, k, counter, True):
+    for paths, _, leaves in search._walk(z256, cands, adj, n, k, counter, True):
         got.update((*map(int, paths[f]), int(j))
                    for f, j in zip(*np.nonzero(_batch.unpack_bits(leaves, m))))
     triples = np.array(list(np.ndindex(m, m, m)))
@@ -907,12 +997,11 @@ def _walk_by_brute_force(ring, cands, adj, n, k, two_sided):
     return tuples, nodes
 
 
-@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
-@pytest.mark.parametrize("two_sided", [False, True])
-def test_packed_walk_at_word_boundaries(m, two_sided):
+def _check_packed_walk(m, two_sided, orderly):
     # m candidates fill ceil(m / 64) words per row, the last one padded;
     # a sparse random adjacency, with kI's columns among the candidates and
-    # pairwise adjacent, as the walk checks for idempotent k = 1
+    # pairwise adjacent, as the walk checks for idempotent k = 1; orderly,
+    # row i admits only j >= i, as `_search` builds it
     rng = np.random.default_rng(m)
     vecs = _batch.all_tuples(Z6.order, 3)
     unit = [36, 6, 1]                                     # e1, e2, e3
@@ -921,17 +1010,32 @@ def test_packed_walk_at_word_boundaries(m, two_sided):
     adj = rng.random((m, m)) < 0.15
     e = [int(np.flatnonzero((cands == vecs[u]).all(axis=1))[0]) for u in unit]
     adj[np.ix_(e, e)] = True
+    if orderly:
+        adj = np.triu(adj)
     counter = search._NodeCounter(10 ** 7, 3)
     got = []
-    for paths, leaves in search._walk(Z6, cands, _batch.pack_bits(adj), 3, 1, counter,
-                                      two_sided):
+    for paths, children, leaves in search._walk(Z6, cands, _batch.pack_bits(adj), 3, 1,
+                                                counter, two_sided):
         unpacked = _batch.unpack_bits(leaves, m)
         assert np.array_equal(_batch.pack_bits(unpacked), leaves)   # padding bits stay 0
+        assert not (leaves & ~children).any() and (two_sided or children is leaves)
         f, j = np.nonzero(unpacked)
         got.append(np.column_stack([paths[f], j]))
     want, nodes = _walk_by_brute_force(Z6, cands, adj, 3, 1, two_sided)
-    assert np.array_equal(np.concatenate(got), want) and len(want) >= 6
+    assert np.array_equal(np.concatenate(got), want) and len(want) >= (1 if orderly else 6)
     assert counter.spent == nodes
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_packed_walk_at_word_boundaries(m, two_sided):
+    _check_packed_walk(m, two_sided, orderly=False)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_orderly_packed_walk_at_word_boundaries(m, two_sided):
+    _check_packed_walk(m, two_sided, orderly=True)
 
 
 def test_walks_without_deeper_nodes():
@@ -946,10 +1050,10 @@ def test_walks_without_deeper_nodes():
 
 # |LO_4(k, R2)|, |O_4(k, R2)| and the nodes of each two-sided walk, k = 0, v, 1, 1+v
 R2_N4_ROWS = [
-    {"k": "0", "lo": 541696, "o": 10816, "diff": 530880, "nodes": 576672},
-    {"k": "v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 47456},
-    {"k": "1", "lo": 2304, "o": 2304, "diff": 0, "nodes": 8032},
-    {"k": "1+v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 47456},
+    {"k": "0", "lo": 541696, "o": 10816, "diff": 530880, "nodes": 40280},
+    {"k": "v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 5920},
+    {"k": "1", "lo": 2304, "o": 2304, "diff": 0, "nodes": 3392},
+    {"k": "1+v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 5920},
 ]
 
 
@@ -969,8 +1073,8 @@ def test_census_large_cases_are_pinned(monkeypatch, chunk):
     # at CHUNK = 64 a block holds one node, so each block interns its own rests
     monkeypatch.setattr(_batch, "CHUNK", chunk)
     assert census_table(R2, 4) == R2_N4_ROWS
-    assert count_semigroup(make_zmod(5), 4, 4, "two_sided") == (28800, 54805)
-    assert count_semigroup(make_galois_field(3), 4, 1, "two_sided") == (1152, 2277)
+    assert count_semigroup(make_zmod(5), 4, 4, "two_sided") == (28800, 13405)
+    assert count_semigroup(make_galois_field(3), 4, 1, "two_sided") == (1152, 621)
 
 
 @pytest.mark.parametrize("ring,n,k", [(Z6, 3, 4), (Z6, 1, 3), (R2, 2, V), (F2, 3, 0)],
