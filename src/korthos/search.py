@@ -203,7 +203,7 @@ class SemigroupCensus:
             raise InvariantViolationError(
                 f"search bug: the leaves have {listed} orderings but weigh {self.count}")
         paths, at = np.empty((self.count, n), np.intp), 0
-        for p in patterns:
+        for p in patterns:   # the indices are in range: "clip" writes into out unbuffered
             perms = _orderings(n, p)
             end = at + int(sizes[p]) * len(perms)
             np.take(sets if len(patterns) == 1 else sets[tied == p], perms, axis=1,
