@@ -878,12 +878,12 @@ def _lo_zero_over_a_field(q, n):
                for r in range(n + 1))
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
-                                 (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (7, 2), (9, 2)])
-def test_lo_zero_closed_form_matches_the_naive_sweep(q, n):
-    p = {4: 2, 9: 3}.get(q, q)
-    field = make_galois_field(p, round(math.log(q, p)))
-    assert _lo_zero_over_a_field(q, n) == len(search._naive_array(field, n, 0))
+@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1),
+                                   (3, 1, 2), (3, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                                   (5, 1, 1), (5, 1, 2), (7, 1, 2), (3, 2, 2)])
+def test_lo_zero_closed_form_matches_the_naive_sweep(p, r, n):
+    field = make_galois_field(p, r)
+    assert _lo_zero_over_a_field(p ** r, n) == len(search._naive_array(field, n, 0))
 
 
 @pytest.mark.parametrize("q,n,count", [(2, 7, 272922112), (3, 6, 148069377)])
