@@ -16,9 +16,9 @@ depth first over the orthogonality graph of the candidates in blocks of
 nodes (`_walk`).  Each node's set of admissible next columns is one row of
 uint64 words, a bit per candidate; a block is unpacked to one byte per
 candidate only when it is expanded, and no block allocates more than
-`_batch.CHUNK` entries.  A two-sided walk forms kI minus the partial row
-Gram once per distinct matrix, not per node, and keeps a node's leaves by
-one AND with the set of candidates whose c c^T equals it.
+`_batch.CHUNK` entries.  A two-sided walk carries kI minus each node's
+partial row Gram and keeps a node's leaves by one AND with the set of
+candidates whose c c^T equals it.
 `enumerate_semigroup` walks once: it weighs each leaf by its orderings for
 the count, and keeps the candidates and the leaf blocks while the blocks
 and the listed paths each total at most `LIST_CAP` words.  A census lists
@@ -306,16 +306,10 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     For idempotent k it checks that kI's sorted columns are a leaf.
 
     Two-sided, the candidates fall into classes of equal c c^T, each with
-    one packed member mask.  A block carries `rest`, a table of matrices kI
-    minus the sum of c c^T over the chosen c, and `rid` (b,), the row of
-    each node's matrix in it.  A child's matrix is computed once per
-    distinct (parent row, class) pair, and the table of a block that will be
-    expanded keeps one row per distinct matrix, by key.  A child of a node
-    is an element when its c c^T is the node's matrix, so the node's leaves
-    are `allowed` AND the mask of that class (no class: the empty mask).
-    Nodes near the leaves share few matrices (R2, n = 4, k = 0: 30,976
-    nodes of depth 3, 400 matrices), so the table costs less than one
-    matrix per node.
+    one packed member mask.  A block also carries `rest` (b, n, n): kI minus
+    the sum of c c^T over each node's chosen c.  A child of a node is an
+    element when its c c^T is the node's `rest`, so the node's leaves are
+    `allowed` AND the mask of that class (no class: the empty mask).
     """
     m = len(cands)
     rows = max(1, _batch.CHUNK // (m + n * n))
@@ -324,17 +318,16 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
     probe = np.sort(hit.argmax(axis=1)) if hit.any(axis=1).all() else None   # kI's columns
     if two_sided:
         outer = _batch.batch_matmul(ring, cands[:, :, None], cands[:, None, :])
-        keys, first, cls = np.unique(_batch.row_keys(outer.reshape(m, n * n), ring.order),
-                                     return_index=True, return_inverse=True)
-        less = ring.neg_np[outer[first]]                # minus c c^T, one per class
+        keys, cls = np.unique(_batch.row_keys(outer.reshape(m, n * n), ring.order),
+                              return_inverse=True)
+        less = ring.neg_np[outer]                       # minus c c^T, per candidate
         member = np.zeros((len(keys) + 1, m), dtype=bool)
         member[cls, np.arange(m)] = True                # the last class is empty
         masks = _batch.pack_bits(member)
-    block = (np.zeros((1, 0), np.intp), _batch.pack_bits(np.ones((1, m), bool)),
-             np.zeros(1, np.intp), target[None])
+    block = (np.zeros((1, 0), np.intp), _batch.pack_bits(np.ones((1, m), bool)), target[None])
     stack, seen = [], False
     while True:
-        paths, allowed, rid, rest = block
+        paths, allowed, rest = block
         nodes = int(np.bitwise_count(allowed).sum())
         counter.spend(nodes, f"depth {paths.shape[1] + 1}")
         if paths.shape[1] < n - 1:
@@ -342,28 +335,20 @@ def _walk(ring, cands, adj, n, k, counter, two_sided):
             stack.extend((block, flat[i:i + rows]) for i in reversed(range(0, nodes, rows)))
         else:
             leaves = allowed   # the children
-            if two_sided:
+            if two_sided:      # need -1: no class, the empty mask
                 need = _batch.lookup(keys, _batch.row_keys(rest.reshape(-1, n * n), ring.order))
-                leaves = allowed & masks[need[rid]]   # need -1: no class, the empty mask
+                leaves = allowed & masks[need]
             if probe is not None:
                 word = leaves[(paths == probe[:-1]).all(axis=1), probe[-1] // 64]
                 seen = seen or bool((word >> np.uint64(probe[-1] % 64) & np.uint64(1)).any())
             yield paths, allowed, leaves
         if not stack:
             break
-        (paths, allowed, rid, rest), piece = stack.pop()
+        (paths, allowed, rest), piece = stack.pop()
         f, j = np.divmod(piece, m)
-        if two_sided and paths.shape[1] == 0:   # children of the root: one rest per class
-            rid, rest = cls[j], _batch._gather(ring.add_np, target, less)
-        elif two_sided:   # one rest per distinct (parent rest, class) pair
-            pair, rid = np.unique(rid[f] * len(keys) + cls[j], return_inverse=True)
-            parent, c = np.divmod(pair, len(keys))
-            rest = _batch._gather(ring.add_np, rest[parent], less[c])
-            if paths.shape[1] < n - 2:   # equal rests of a block to expand share one id
-                _, first, same = np.unique(_batch.row_keys(rest.reshape(-1, n * n), ring.order),
-                                           return_index=True, return_inverse=True)
-                rest, rid = rest[first], same[rid]
-        block = (np.column_stack([paths[f], j]), allowed[f] & adj[j], rid, rest)
+        if two_sided:
+            rest = _batch._gather(ring.add_np, rest[f], less[j])
+        block = (np.column_stack([paths[f], j]), allowed[f] & adj[j], rest)
     if ring.mul(k, k) == k and not seen:
         raise InvariantViolationError(
             f"search bug: scalar matrix missing from census over {ring.literal}"

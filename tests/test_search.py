@@ -855,35 +855,61 @@ def test_the_listing_cap_admits_lo4_zero_over_r2():
             census._keys
 
 
-def _lo_zero_over_a_field(q, n):
-    """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
-    A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
-    and N_r is the number of those subspaces, for the dot product x.y."""
+def _isotropic_subspaces(q, n, r):
+    """N_r, the number of r-dimensional totally isotropic subspaces of F_q^n
+    for the dot product x.y, for r <= n // 2; there are none above.  Every
+    exponent below is then >= 0, so the arithmetic stays in integers."""
     def s(m, r):                                  # prod_{i<r} (q^(2(m-i)) - 1)/(q^(i+1) - 1)
         return math.prod(q ** (2 * (m - i)) - 1 for i in range(r)) // math.prod(
             q ** (i + 1) - 1 for i in range(r))
 
-    def subspaces(r):
-        if q % 2 == 0:          # isotropic vectors span the hyperplane sum x_i = 0
-            return s((n - 1) // 2, r) if n % 2 else (
-                (s((n - 2) // 2, r - 1) if r else 0) + q ** r * s((n - 2) // 2, r))
-        if n % 2:
-            return s(n // 2, r)
-        m = n // 2
-        eps = 1 if m % 2 == 0 or q % 4 == 1 else -1   # (-1)^m a square in F_q
-        top = math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r))
-        return top // math.prod(q ** (i + 1) - 1 for i in range(r))
-
-    return sum(subspaces(r) * math.prod(q ** n - q ** i for i in range(r))
-               for r in range(n + 1))
+    if q % 2 == 0:              # isotropic vectors span the hyperplane sum x_i = 0
+        return s((n - 1) // 2, r) if n % 2 else (
+            (s((n - 2) // 2, r - 1) if r else 0) + q ** r * s((n - 2) // 2, r))
+    if n % 2:
+        return s(n // 2, r)
+    m = n // 2
+    eps = 1 if m % 2 == 0 or q % 4 == 1 else -1   # (-1)^m a square in F_q
+    top = math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r))
+    return top // math.prod(q ** (i + 1) - 1 for i in range(r))
 
 
-@pytest.mark.parametrize("p,r,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1),
-                                   (3, 1, 2), (3, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3),
-                                   (5, 1, 1), (5, 1, 2), (7, 1, 2), (3, 2, 2)])
-def test_lo_zero_closed_form_matches_the_naive_sweep(p, r, n):
+def _onto(q, n, r):
+    """The number of linear maps of F_q^n onto F_q^r: prod_{i<r} (q^n - q^i).
+    At n = r it is |GL_r(F_q)|."""
+    return math.prod(q ** n - q ** i for i in range(r))
+
+
+def _lo_zero_over_a_field(q, n):
+    """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
+    A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
+    and N_r is the number of those subspaces, for the dot product x.y."""
+    count = sum(_isotropic_subspaces(q, n, r) * _onto(q, n, r) for r in range(n // 2 + 1))
+    assert type(count) is int
+    return count
+
+
+def _o_zero_over_a_field(q, n):
+    """|O_n(0, F_q)| = sum_r N_r^2 |GL_r(F_q)|: A A^T = 0 as well makes the
+    row space totally isotropic too, and A is fixed by its image U and its
+    row space W, both of dimension r, and the isomorphism it induces from
+    F_q^n / W^perp onto U."""
+    count = sum(_isotropic_subspaces(q, n, r) ** 2 * _onto(q, r, r) for r in range(n // 2 + 1))
+    assert type(count) is int
+    return count
+
+
+LO_ZERO_CASES = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2), (3, 1, 3),
+                 (2, 2, 1), (2, 2, 2), (2, 2, 3), (5, 1, 1), (5, 1, 2), (7, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("p,r,n,side", [
+    pytest.param(p, r, n, side, id=f"{p}-{r}-{n}" + ("" if side == "left" else "-two_sided"))
+    for side in ("left", "two_sided") for p, r, n in LO_ZERO_CASES])
+def test_lo_zero_closed_form_matches_the_naive_sweep(p, r, n, side):
     field = make_galois_field(p, r)
-    assert _lo_zero_over_a_field(p ** r, n) == len(search._naive_array(field, n, 0))
+    closed = _lo_zero_over_a_field if side == "left" else _o_zero_over_a_field
+    assert closed(p ** r, n) == len(search._naive_array(field, n, 0, side))
 
 
 @pytest.mark.parametrize("q,n,count", [(2, 7, 272922112), (3, 6, 148069377)])
@@ -894,6 +920,16 @@ def test_orderly_walk_counts_past_the_sequence_walks_reach(monkeypatch, q, n, co
     census = enumerate_semigroup(make_galois_field(q), n, 0)
     assert census.count == count and census.nodes < search.DEFAULT_BUDGET
     assert census._blocks[1] is None            # count * n passes LIST_CAP
+
+
+@pytest.mark.parametrize("p,r,n,count", [(2, 1, 5, 1576), (2, 1, 6, 72512), (2, 1, 7, 3661120),
+                                         (3, 1, 5, 80001), (2, 2, 4, 5824), (5, 1, 4, 74305)])
+def test_two_sided_walk_matches_the_o_zero_closed_form(monkeypatch, p, r, n, count):
+    # two-sided walks with a non-unit k past n = 4, where the row test runs
+    # at every leaf block of depth n - 1
+    monkeypatch.delenv("KORTHOS_BUDGET", raising=False)
+    assert _o_zero_over_a_field(p ** r, n) == count
+    assert count_semigroup(make_galois_field(p, r), n, 0, "two_sided")[0] == count
 
 
 @pytest.mark.parametrize("ring,n", [(ring, n) for ring in (make_zmod(4), Z6, R2)
@@ -920,8 +956,9 @@ def _walk_results():
             for side in SIDES:
                 c = enumerate_semigroup(ring, n, k, side)
                 out.append((ring.literal, n, k, side, c.count, c.nodes, c.array.tobytes()))
-    c = enumerate_semigroup(make_galois_field(3), 4, 1, "two_sided")
-    out.append((c.count, c.nodes, c.array.tobytes()))
+    for ring, n, k in [(make_galois_field(3), 4, 1), (F2, 5, 0), (R2, 4, V)]:
+        c = enumerate_semigroup(ring, n, k, "two_sided")
+        out.append((c.count, c.nodes, c.one_sided_count, c.array.tobytes()))
     out.append(census_table(R2, 3))
     for ring, n in [(Z6, 2), (Z6, 3), (make_zmod(4), 4), (make_zmod(5), 2), (R2, 2)]:
         w = antiorthogonal_exists(ring, n)
@@ -1070,7 +1107,7 @@ def test_pinned_r2_rows_are_products_over_the_crt_factors():
 
 @pytest.mark.parametrize("chunk", [_batch.CHUNK, 64])
 def test_census_large_cases_are_pinned(monkeypatch, chunk):
-    # at CHUNK = 64 a block holds one node, so each block interns its own rests
+    # at CHUNK = 64 a block holds one node
     monkeypatch.setattr(_batch, "CHUNK", chunk)
     assert census_table(R2, 4) == R2_N4_ROWS
     assert count_semigroup(make_zmod(5), 4, 4, "two_sided") == (28800, 13405)
