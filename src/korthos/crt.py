@@ -9,9 +9,9 @@ backwards, through the mixed-radix code of the factor parts.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
-just the counts.  It maps every element of the census forward, keying its
-factor parts from the census's paths, and looks each part up among the
-keys of that factor census.
+just the counts.  The census's sorted keys show that its elements are
+distinct; each element is mapped forward, its factor parts keyed from the
+census's paths, and each part must be among the keys of that factor census.
 """
 
 from __future__ import annotations
@@ -169,12 +169,15 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     censuses use the independent brute-force counter when feasible, the
     pruned search otherwise.  `nodes` sums the nodes of every pruned search.
 
-    The bijection is checked forwards, on the direct census's paths: each
-    factor part of every element is keyed from the factor images of the
-    census's candidates (`_batch.path_keys`) and looked up among the sorted
-    keys of that factor census.  Every element must land in the product,
-    and the tuples of factor positions of distinct elements must differ;
-    the counts agree, so an injective map into the product is a bijection.
+    The bijection is checked forwards, on the direct census's paths.  The
+    census's sorted keys must strictly increase, so its elements are
+    distinct, and `split` verified the entry map, so distinct elements have
+    distinct images.  Each factor part of every element is keyed from the
+    factor images of the census's candidates (`_batch.path_keys`) and must
+    be among the sorted keys of that factor census, so every element lands
+    in the product; the counts agree, so this injective map into the
+    product is a bijection.  The parts are looked up in the order of the
+    census's paths, not sorted.
     """
     ring.check_element(k)
     if ring.mul(k, k) != k:
@@ -200,21 +203,14 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     factor_counts = [len(keys) for keys in factor_keys]
     product = math.prod(factor_counts)
 
-    bijection_ok = direct.count == product
+    # sorted keys, so the elements are distinct iff no two neighbours are equal
+    bijection_ok = direct.count == product and bool((direct._keys[1:] != direct._keys[:-1]).all())
     if bijection_ok:
         cands, paths = direct._paths
-        pairs = np.zeros(len(paths), dtype=np.int64)   # mixed-radix factor positions
-        for j, (factor, keys) in enumerate(zip(crt_split.factors, factor_keys)):
-            images = _batch.path_keys(crt_split.forward_np[cands, j], paths, factor.order,
-                                      side != "right")
-            pos = _batch.lookup(keys, images)
-            if (pos < 0).any():
-                bijection_ok = False
-                break
-            pairs = pairs * len(keys) + pos
-        else:
-            pairs.sort()
-            bijection_ok = bool((pairs[1:] != pairs[:-1]).all())
+        bijection_ok = all(
+            (_batch.lookup(keys, _batch.path_keys(crt_split.forward_np[cands, j], paths,
+                                                  factor.order, side != "right")) >= 0).all()
+            for j, (factor, keys) in enumerate(zip(crt_split.factors, factor_keys)))
 
     return {
         "ring": ring.literal,

@@ -14,8 +14,11 @@ up in ``uint8`` numpy tables (``add_np``, ``mul_np``, ``neg_np``) built once
 at construction, so rings of order above 256 (``TABLE_CAP``) are rejected
 there.  Each kind builds its addition and multiplication tables from its
 structure in whole-array numpy operations (residues, polynomial convolution,
-gathers from the base or component tables); negation is read off the
-addition table.  These arrays are the only tables: the scalar methods and
+gathers from the base or component tables); negation, the unity and the
+units with their inverses are read off these tables.  Zero is index 0 in
+every kind, and construction checks that index 0 is the additive identity
+and that exactly one row of the multiplication table is the identity map.
+These arrays are the only tables: the scalar methods and
 the vectorized ops in ``_batch`` index the same ones.  A ring is nothing
 more than these tables: they come from the ring's structure, so the axioms
 hold by construction, and the tests check every builder against the
@@ -26,6 +29,7 @@ so ``GF(p, r)`` rejects a modulus whose tables have a zero divisor.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 import numpy as np
 
@@ -166,8 +170,11 @@ class Ring:
 
     Subclasses provide `_tables`, which returns the addition and
     multiplication tables as integer arrays built from the ring's structure,
-    rendering, and a structural `key`.  Negation is the column where each
-    row of the addition table is zero.
+    rendering, and a structural `key`.  `zero` is index 0, checked to be the
+    additive identity; negation is the column where each row of the
+    addition table is zero; `one` is the one row of the multiplication table
+    that is the identity map; the units and their inverses are one
+    `{unit: inverse}` table, read off the multiplication table on first use.
     Two descriptors compare equal iff their keys match, so independently
     constructed copies of the same ring interoperate.
     """
@@ -182,13 +189,19 @@ class Ring:
                 f"ring of order {_clip(order)} exceeds the supported order {TABLE_CAP}"
             )
         self.order = order
-        self._units_cache = None
-        self._inv_cache = None
         self.add_np, self.mul_np = (t.astype(np.uint8) for t in self._tables())
+        identity = np.arange(order)
+        if not (self.add_np[self.zero] == identity).all():
+            raise InvariantViolationError(f"{self.literal}: index 0 is not the additive identity")
         is_zero = self.add_np == self.zero
         if not is_zero.any(axis=1).all():
             raise InvariantViolationError(f"{self.literal}: additive inverses fails")
         self.neg_np = is_zero.argmax(axis=1).astype(np.uint8)
+        ones = np.flatnonzero((self.mul_np == identity).all(axis=1))
+        if len(ones) != 1:
+            raise InvariantViolationError(
+                f"{self.literal}: {len(ones)} rows of the multiplication table are the identity map")
+        self.one = int(ones[0])
         if self.one == self.zero:
             raise InvalidParameterError("ring unity coincides with zero")
         c, acc = 1, self.one
@@ -199,7 +212,6 @@ class Ring:
 
     # subclass surface ------------------------------------------------------
     zero = 0
-    one = 1
 
     def _tables(self):
         raise NotImplementedError
@@ -240,25 +252,26 @@ class Ring:
         return range(self.order)
 
     # derived structure -----------------------------------------------------
+    @cached_property
+    def _inverses(self):
+        """{unit: its inverse}, read off the multiplication table."""
+        is_one = self.mul_np == self.one
+        units = np.flatnonzero(is_one.any(axis=1)).tolist()
+        return dict(zip(units, is_one.argmax(axis=1)[units].tolist()))
+
     def units(self):
         """The set of invertible elements."""
-        if self._units_cache is None:
-            is_one = self.mul_np == self.one
-            units = np.flatnonzero(is_one.any(axis=1)).tolist()
-            self._inv_cache = dict(zip(units, is_one.argmax(axis=1)[units].tolist()))
-            self._units_cache = frozenset(units)
-        return self._units_cache
+        return self._inverses.keys()
 
     def is_unit(self, a):
         self.check_element(a)
-        return a in self.units()
+        return a in self._inverses
 
     def inverse(self, a):
         self.check_element(a)
-        self.units()
-        if a not in self._inv_cache:
+        if a not in self._inverses:
             raise NotAUnitError(f"{self.render(a)} is not a unit in {self.literal}")
-        return self._inv_cache[a]
+        return self._inverses[a]
 
     def idempotents(self):
         """Ascending list of all e with e*e = e.  Always contains 0 and 1."""
@@ -436,14 +449,6 @@ class VExtensionRing(Ring):
         return a * self.q + b
 
     @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return self.base.one * self.q
-
-    @property
     def v(self):
         """The index of the adjoined element v itself."""
         return self.base.one
@@ -538,14 +543,6 @@ class ProductRing(Ring):
             ring.check_element(x)
             e = e * ring.order + x
         return e
-
-    @property
-    def zero(self):
-        return self.make(r.zero for r in self.components_rings)
-
-    @property
-    def one(self):
-        return self.make(r.one for r in self.components_rings)
 
     def _tables(self):
         dims = [r.order for r in self.components_rings]

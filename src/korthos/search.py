@@ -282,10 +282,9 @@ def _search(ring, n, k, limit, two_sided=False):
     m = len(cands)
     adj = np.empty((m, -(-m // 64)), dtype="<u8")
     for part in _batch.chunks(m, m * n):
-        # row i keeps bit j for j >= i: word w drops its max(i - 64 w, 0) low bits
-        below = np.maximum(np.arange(m)[part, None] - 64 * np.arange(adj.shape[1]), 0)
-        adj[part] = (_batch.pack_bits(_batch.batch_matmul(ring, cands[part], cands.T) == ring.zero)
-                     & np.left_shift(~np.uint64(0), below.astype(np.uint64)))
+        later = np.arange(m) >= np.arange(m)[part, None]      # row i keeps bit j for j >= i
+        adj[part] = _batch.pack_bits(later & (_batch.batch_matmul(ring, cands[part], cands.T)
+                                              == ring.zero))
     # A^T A = kI with k a unit makes A invertible, A^T = k A^-1, so A A^T = kI:
     # every left element is two-sided and the leaves need no row test
     two_sided = two_sided and not ring.is_unit(k)

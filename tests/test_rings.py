@@ -15,7 +15,7 @@ from korthos import (
     make_zmod,
     parse_ring,
 )
-from korthos.rings import ZmodRing, parse_poly, render_poly
+from korthos.rings import ProductRing, VExtensionRing, ZmodRing, parse_poly, render_poly
 
 from helpers import ring_family
 
@@ -346,6 +346,43 @@ def test_addition_table_without_a_zero_in_a_row_is_rejected():
 
     with pytest.raises(InvariantViolationError, match="additive inverses"):
         NoInverse(3)
+
+
+def test_a_zero_that_is_not_index_0_is_rejected():
+    # Z3 with element a at index (a - 1) mod 3: every row of the addition
+    # table still holds index 0, but the additive identity is index 1
+    class Relabelled(ZmodRing):
+        def _tables(self):
+            add, mul = super()._tables()
+            to_index, to_element = (np.arange(3) - 1) % 3, (np.arange(3) + 1) % 3
+            return (to_index[add[np.ix_(to_element, to_element)]],
+                    to_index[mul[np.ix_(to_element, to_element)]])
+
+    with pytest.raises(InvariantViolationError, match="index 0 is not the additive identity"):
+        Relabelled(3)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_a_multiplication_table_without_one_identity_row_is_rejected(rows):
+    class NoUnity(ZmodRing):
+        def _tables(self):
+            add, mul = super()._tables()
+            mul[1:] = 0 if rows == 0 else np.arange(3)
+            return add, mul
+
+    with pytest.raises(InvariantViolationError, match=f"{rows} rows of the multiplication"):
+        NoUnity(3)
+
+
+def test_the_unity_read_off_the_table_is_the_structural_one():
+    for ring in ring_family() + [parse_ring(t) for t in EXTRA_RINGS]:
+        if isinstance(ring, VExtensionRing):
+            one = ring.make(ring.base.one, ring.base.zero)
+        elif isinstance(ring, ProductRing):
+            one = ring.make(c.one for c in ring.components_rings)
+        else:   # the residue 1, the constant polynomial 1
+            one = 1
+        assert ring.zero == 0 and ring.one == one, ring.literal
 
 
 # ---------------------------------------------------------------------------
