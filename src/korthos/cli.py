@@ -5,12 +5,15 @@ Every command returns its result as a `_Run`, and `main` alone times it,
 assembles the run report {command, ring, params, result, elapsed_ms, nodes}
 and prints it as JSON, text or CSV; identical invocations produce
 byte-identical JSON apart from the elapsed-time field.  Exit codes: 0
-success, 2 verification mismatch, 1 usage or budget errors.
+success, 2 verification mismatch, 1 usage or budget errors.  `main` can be
+called repeatedly in one process: it builds the parser on first use and
+reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -290,7 +293,10 @@ def _cmd_antiortho(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use.  It is shared by
+    every `main` call, so callers must not mutate it."""
     parser = _Parser(prog="korthos",
                      description="k-orthogonal matrix semigroups over finite "
                                  "commutative rings and their codes")
@@ -350,8 +356,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:   # printing too, so a failed write (a closed pipe) is one error line
         t0 = time.perf_counter()
         run = args.func(args)

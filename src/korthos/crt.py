@@ -245,7 +245,7 @@ def gl_order_bruteforce(ring, n):
     determinant; the independent check for the GL order formula."""
     _check_sweep(ring, n)
     mats = _batch.all_tuples(ring.order, n * n).reshape(-1, n, n)
-    is_unit = (ring.mul_np == ring.one).any(axis=1)
+    is_unit = np.isin(np.arange(ring.order), list(ring.units()))
     return sum(int(is_unit[_batch.det(ring, mats[part])].sum())
                for part in _batch.chunks(len(mats), math.factorial(n) * n))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from korthos import enumerate_semigroup, parse_ring, search
-from korthos.cli import main
+from korthos.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = ROOT / "tables"
@@ -444,6 +444,41 @@ def test_payloads_are_deterministic(capsys):
     assert payload_no_time(*argv) == payload_no_time(*argv)
     argv = ("tables", "--ring", "R2", "--n", "2")
     assert payload_no_time(*argv) == payload_no_time(*argv)
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_main_reuses_its_parser_across_calls(monkeypatch, capsys):
+    """Usage errors, --help, command errors and other commands' options leave
+    nothing on the shared parser for the next call."""
+    first = ["census", "--ring", "Z6", "--n", "2", "--format", "json"]
+    before = run_snapshot(capsys, first)
+    assert before["exit"] == 0
+
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--ring", "Z6"])  # missing --n
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: korthos census")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: korthos" in capsys.readouterr().out
+    assert run(capsys, "idempotents", "--ring", "Z1")[0] == 1
+
+    assert run(capsys, "census", "--ring", "Z6", "--n", "2", "--k", "1",
+               "--side", "two", "--emit", "matrices")[0] == 0
+    code, payload, _ = run_json(capsys, "census", "--ring", "Z6", "--n", "2", "--k", "1")
+    assert code == 0
+    assert payload["params"]["side"] == "left"
+    assert payload["params"]["emit"] == "counts"
+    assert run_snapshot(capsys, first) == before
+
+    argv = ["idempotents", "--ring", "Z4", "--format", "json"]
+    want = run_snapshot(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["korthos", *argv])
+    assert run_snapshot(capsys, None) == want
 
 
 @pytest.mark.parametrize("argv", [
