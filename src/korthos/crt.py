@@ -9,9 +9,9 @@ backwards, through the mixed-radix code of the factor parts.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
-just the counts.  The census's sorted keys show that its elements are
-distinct; each element is mapped forward, its factor parts keyed from the
-census's paths, and each part must be among the keys of that factor census.
+just the counts.  Each element of the census walks, along its path, the
+prefix tree of each factor census to the rank of its factor part, and the
+ranks place it in the product, whose every position must be taken once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,15 @@ from .rings import (
     ZmodRing,
     make_zmod,
 )
-from .search import _check_sweep, _naive_array, enumerate_semigroup, normalize_side
+from .search import (
+    _check_sweep,
+    _naive_array,
+    _naive_paths,
+    _prefix_tree,
+    enumerate_semigroup,
+    normalize_side,
+    resolve_budget,
+)
 
 
 def _prime_power_factors(n):
@@ -169,15 +177,26 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     censuses use the independent brute-force counter when feasible, the
     pruned search otherwise.  `nodes` sums the nodes of every pruned search.
 
-    The bijection is checked forwards, on the direct census's paths.  The
-    census's sorted keys must strictly increase, so its elements are
-    distinct, and `split` verified the entry map, so distinct elements have
-    distinct images.  Each factor part of every element is keyed from the
-    factor images of the census's candidates (`_batch.path_keys`) and must
-    be among the sorted keys of that factor census, so every element lands
-    in the product; the counts agree, so this injective map into the
-    product is a bijection.  The parts are looked up in the order of the
-    census's paths, not sorted.
+    The bijection is checked forwards, on the direct census's paths.  Each
+    factor census is held as paths too: its vectors in lexicographic order
+    and the indices of each element's columns (rows for a right census)
+    among them.  A walked census has them as its paths; the naive sweep
+    lists its elements by their rows in lexicographic order, and the
+    columns of LO_n(a) are the rows of RO_n(a) = {A^T}, so a one-sided
+    factor reads them off the right sweep and a two-sided one off its own.
+    The factor image of each direct candidate is given its rank among the
+    factor's vectors, one symbol each, by one table over the base-q codes
+    of the q^n vectors, and every element walks the factor census's prefix
+    tree (`search._prefix_tree`) along the symbols of its path: n table
+    gathers reach its leaf, the rank of its factor part in the factor
+    census, or the dead node 0 for a part outside it.  An image column
+    outside the factor's vectors is the dead symbol, the tables' last
+    column, which no path takes.  The ranks give each
+    element one position in the product of the factor censuses; every
+    element lands in the product, and with as many elements as positions,
+    marking every position shows the map is a bijection.  The tree's tables,
+    and their restrictions to the direct candidates that the walk gathers
+    from, are charged against the node budget before they are allocated.
     """
     ring.check_element(k)
     if ring.mul(k, k) != k:
@@ -190,27 +209,42 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     direct = enumerate_semigroup(ring, n, k, side, budget=budget)
     nodes = direct.nodes
 
-    factor_keys = []            # sorted: the naive sweep runs in canonical order
+    factor_paths = []           # (vectors, paths) of each factor census
     for factor, aj in zip(crt_split.factors, a):
         try:
-            keys = _batch.row_keys(_naive_array(factor, n, aj, side).reshape(-1, n * n),
-                                   factor.order)
+            factor_paths.append(_naive_paths(factor, n, aj,
+                                             "two_sided" if side == "two_sided" else "right"))
         except BudgetExceededError:
             census = enumerate_semigroup(factor, n, aj, side, budget=budget)
             nodes += census.nodes
-            keys = census._keys
-        factor_keys.append(keys)
-    factor_counts = [len(keys) for keys in factor_keys]
+            factor_paths.append(census._paths)
+    factor_counts = [len(paths) for _, paths in factor_paths]
     product = math.prod(factor_counts)
 
-    # sorted keys, so the elements are distinct iff no two neighbours are equal
-    bijection_ok = direct.count == product and bool((direct._keys[1:] != direct._keys[:-1]).all())
+    bijection_ok = direct.count == product
     if bijection_ok:
+        limit = resolve_budget(budget)
         cands, paths = direct._paths
-        bijection_ok = all(
-            (_batch.lookup(keys, _batch.path_keys(crt_split.forward_np[cands, j], paths,
-                                                  factor.order, side != "right")) >= 0).all()
-            for j, (factor, keys) in enumerate(zip(crt_split.factors, factor_keys)))
+        position = np.zeros(direct.count, dtype=np.intp)
+        for j, (factor, (vecs, factor_path)) in enumerate(zip(crt_split.factors, factor_paths)):
+            width = len(vecs) + 1                # the last symbol is the dead one
+            code = factor.order ** np.arange(n - 1, -1, -1)     # a vector's base-q code
+            rank = np.full(factor.order ** n, len(vecs))        # by code; else dead
+            rank[vecs @ code] = np.arange(len(vecs))
+            symbol = rank[crt_split.forward_np[cands, j] @ code]
+            tables = _prefix_tree(factor_path, width, limit, derived=len(cands))
+            at = tables[0][width:2 * width][symbol].take(paths[:, 0])   # from the root, node 1
+            for d, table in enumerate(tables[1:], 1):
+                # the table on the direct candidates: one row per node
+                at = table.reshape(-1, width)[:, symbol].ravel().take(at * len(cands) + paths[:, d])
+            if not at.all():
+                bijection_ok = False
+                break
+            position = position * len(factor_path) + (at - 1)
+        else:
+            hit = np.zeros(product, dtype=bool)
+            hit[position] = True
+            bijection_ok = bool(hit.all())
 
     return {
         "ring": ring.literal,

@@ -74,7 +74,7 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"cannot compare matrices over {self.ring.literal} and {other.ring.literal}"
             )
@@ -205,6 +205,13 @@ def _array(a):
 def _mat(ring, arr):
     """The `Mat` view of a (rows, cols) index array; `_array` inverts it."""
     return Mat(ring, *arr.shape, arr.ravel().tolist())
+
+
+def _mats(ring, arr):
+    """The `Mat` views of a (count, rows, cols) index array, read off one
+    `tolist` of its flattened matrices."""
+    count, rows, cols = arr.shape
+    return [Mat(ring, rows, cols, e) for e in arr.reshape(count, rows * cols).tolist()]
 
 
 def _gram_is(a, k, columns=False):

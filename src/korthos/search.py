@@ -45,10 +45,12 @@ The checks on a listed census run on index arrays.  `verify_closure` reads
 each element off its path as the tuple of the indices of its columns among
 the columns the census uses, and each element A as the map c -> A*c on
 them, read off one table of inner products.  Elements with equal maps have
-equal products with every B, so each distinct map is walked once through a
-prefix tree of the elements' tuples, built to depth n - 1; there the last
-columns below a node are one bitmask, and all products through the node
-pass or fail by one subset test.  It never forms the m*m products.
+equal products with every B, so each distinct map is walked once through
+the prefix tree of the elements' tuples (`_prefix_tree`, dense tables of
+children, which the CRT check walks too); below a node of depth n - 1 the
+last columns are one bitmask, and all products through the node pass or
+fail by one subset test.  The walk is node-major: a node's row holds every
+map, so each gather reads whole rows.  It never forms the m*m products.
 `verify_group` is one batched Gram test and one lookup of the transposes;
 `transpose_bijection_check` keys a left census's paths as rows.
 """
@@ -72,7 +74,7 @@ from .errors import (
     NotApplicableError,
     SizeCapError,
 )
-from .matrices import Mat, _mat, identity
+from .matrices import Mat, _mat, _mats, identity
 from .rings import Ring, VExtensionRing, _clip
 
 DEFAULT_BUDGET = 10 ** 8
@@ -138,8 +140,9 @@ class SemigroupCensus:
     indices in canonical order (lexicographic by row-major entries), is
     decoded from them on first use only; `elements` lists them as `Mat`
     views.  `nodes` and `profile` count the multisets the walk visited, and
-    `one_sided_count` is the count of the one-sided census the walk filtered
-    (|LO_n(k,R)| for a two-sided census, else `count`).
+    `one_sided_count` is |LO_n(k,R)|, the count of the left census a
+    two-sided walk filtered, when the walk was asked to weigh it
+    (`census_table`), else None.
     `checks` values are True/False once the corresponding verification has
     run, else None.
     """
@@ -218,7 +221,7 @@ class SemigroupCensus:
 
     @cached_property
     def elements(self):
-        return [_mat(self.ring, a) for a in self.array]
+        return _mats(self.ring, self.array)
 
     @cached_property
     def _keys(self):
@@ -392,19 +395,23 @@ def _orderings(n, tied):
     return keep
 
 
-def enumerate_semigroup(ring, n, k, side="left", budget=None):
+def enumerate_semigroup(ring, n, k, side="left", budget=None, *, one_sided=False):
     """Census of LO_n(k,R) / RO_n(k,R) / O_n(k,R), exact: one walk gives the
     nodes and, weighing each leaf multiset by its orderings, the count, and
     keeps the candidates and its leaf blocks, as yielded, while the blocks
     and the paths they list total at most `LIST_CAP` words each; the census
-    lists its elements from them on first use (see `SemigroupCensus`)."""
+    lists its elements from them on first use (see `SemigroupCensus`).
+    With `one_sided`, which only `census_table` reads, the walk also weighs
+    the children of its blocks, the left elements before the row test, for
+    `one_sided_count`."""
     side = normalize_side(side)
     counter, cands, walk = _search(ring, n, k, resolve_budget(budget), side == "two_sided")
-    count, left, words, blocks, repeats = 0, 0, 0, [], k == ring.zero
+    count, left, words, blocks, repeats = 0, 0 if one_sided else None, 0, [], k == ring.zero
     for prefix, children, leaves in walk:
         found = _weigh(prefix, leaves, repeats)
         count += found
-        left += found if children is leaves else _weigh(prefix, children, repeats)
+        if one_sided:
+            left += found if children is leaves else _weigh(prefix, children, repeats)
         words += prefix.size + leaves.size
         if max(words, count * n) > LIST_CAP:
             blocks = None   # too large to list: the census keeps its count only
@@ -433,7 +440,7 @@ def enumerate_naive(ring, n, k, side="left"):
     orthogonal groups over residue fields.  The sweep runs in lexicographic
     order, so the matrices come out in canonical order.
     """
-    return [_mat(ring, a) for a in _naive_array(ring, n, k, side)]
+    return _mats(ring, _naive_array(ring, n, k, side))
 
 
 def _check_sweep(ring, n):
@@ -447,7 +454,15 @@ def _check_sweep(ring, n):
 
 
 def _naive_array(ring, n, k, side="left"):
-    """`enumerate_naive` as an (m, n, n) index array.
+    """`enumerate_naive` as an (m, n, n) index array."""
+    rows, paths = _naive_paths(ring, n, k, side)
+    return rows[paths]
+
+
+def _naive_paths(ring, n, k, side="left"):
+    """`enumerate_naive` as (rows, paths): the |R|^n vectors of R^n in
+    lexicographic order and the (m, n) indices of each matrix's rows among
+    them, in lexicographic order.
 
     A matrix is a tuple of n rows among the |R|^n vectors of R^n, so the
     sweep is a broadcast grid with one axis per row, in lexicographic order.
@@ -457,7 +472,8 @@ def _naive_array(ring, n, k, side="left"):
     |R|^(n*h) head sums and each of the |R|^(n*(n-h)) tail sums, and compares
     every head key with every tail key.  (A A^T)[i, j] is <r_i, r_j>, read
     off a table over the rows for i <= j only: the ring is commutative, so
-    the table is symmetric.
+    the table is symmetric.  A two-sided sweep tests the columns of the row
+    test's survivors only, off the same table.
     """
     _check_sweep(ring, n)
     ring.check_element(k)
@@ -466,21 +482,30 @@ def _naive_array(ring, n, k, side="left"):
     shape = (len(rows),) * n                              # r_i runs along axis i
     target = np.full((n, n), ring.zero, dtype=np.uint8)
     np.fill_diagonal(target, k)
-    mask = np.ones(shape, dtype=bool)
-    if side != "right":                                   # A^T A = kI
+    if side == "left":                                    # A^T A = kI
         outer = _batch.batch_matmul(ring, rows[:, :, None], rows[:, None, :])
         h = n // 2
         need = _batch._gather(ring.add_np, target, ring.neg_np[_outer_sums(ring, outer, h)])
         head, tail = (_batch.row_keys(s.reshape(-1, n * n), ring.order)
                       for s in (need, _outer_sums(ring, outer, n - h)))
-        mask &= (head[:, None] == tail[None, :]).reshape(shape)
-    if side != "left":                                    # A A^T = kI
+        mask = (head[:, None] == tail[None, :]).reshape(shape)
+    else:                                                 # A A^T = kI
         dots = _batch.batch_matmul(ring, rows, rows.T)
-        grid = np.ix_(*[np.arange(len(rows))] * n)
-        for i in range(n):
-            for j in range(i, n):
-                mask &= dots[grid[i], grid[j]] == target[i, j]
-    return rows[np.stack(np.unravel_index(np.flatnonzero(mask), shape), axis=-1)]
+
+        def gram_is_k(vec):     # vec[i] indexes the rows: their Gram test
+            ok = True
+            for i in range(n):
+                for j in range(i, n):
+                    ok = ok & (dots[vec[i], vec[j]] == target[i, j])
+            return ok
+
+        mask = gram_is_k(np.ix_(*[np.arange(len(rows))] * n))
+    paths = np.stack(np.unravel_index(np.flatnonzero(mask), shape), axis=-1)
+    if side == "two_sided":                               # A^T A = kI
+        # a column's index among the rows is its base-|R| code
+        cols = rows[paths].swapaxes(1, 2) @ ring.order ** np.arange(n - 1, -1, -1)
+        paths = paths[gram_is_k(cols.T)]
+    return rows, paths
 
 
 def _outer_sums(ring, outer, count):
@@ -513,7 +538,8 @@ def verify_closure(census):
     table of the inner products of the distinct rows of the elements with
     the used columns; an image outside them fails at once.  Elements with equal maps have equal products with every B, so
     each distinct map is tested once (`_closed`).  The m*m_c images and m*m
-    products are charged to the node budget first.
+    products are charged to the node budget first, and the prefix tree's
+    tables as they are built (`_prefix_tree`).
     """
     ring, n, m = census.ring, census.n, census.count
     cands, paths = census._paths
@@ -524,25 +550,54 @@ def verify_closure(census):
         raise BudgetExceededError(
             f"closure of {m} elements over {mc} columns needs {m * mc} images and "
             f"{m * m} product lookups, over the node budget of {limit}")
-    ok = m == 0 or _closed(ring, cands[used], code.reshape(m, n))
+    ok = m == 0 or _closed(ring, cands[used], code.reshape(m, n), limit)
     census.checks["closure_verified"] = ok
     return ok
 
 
-def _closed(ring, vecs, code):
+def _prefix_tree(code, width, limit, derived=0):
+    """The prefix tree of the rows of `code` (m, n), entries below `width`,
+    as n dense intp tables: `tables[j][p * width + c]` is the child by entry
+    c of node p of depth j, or the dead node 0.  The root is node 1 of depth
+    0, and no row reaches row 0 of a table, so a dead walk stays dead.  The
+    nodes of depth j + 1 are numbered from 1 in the order of their (p, c),
+    by marking the pairs in the table and numbering the marks, with no sort;
+    those of depth n number the distinct rows.  Each table's rows, `width`
+    entries each plus `derived` for a table the caller derives from it, are
+    charged against the node budget `limit` before the table is allocated."""
+    m, n = code.shape
+    pair, size, spent, tables = code[:, 0] + width, 1, 0, []   # the root's pairs
+    for j in range(n):
+        spent += (size + 1) * (width + derived)
+        if spent > limit:
+            raise BudgetExceededError(
+                f"a prefix tree of {m} rows of {n} entries below {width} needs {spent} "
+                f"table entries by depth {j + 1}, over the node budget of {limit}")
+        table = np.zeros((size + 1) * width, dtype=np.intp)
+        table[pair] = 1
+        live = np.flatnonzero(table)
+        size = len(live)
+        table[live] = np.arange(1, size + 1)
+        tables.append(table)
+        if j < n - 1:
+            pair = table[pair] * width + code[:, j + 1]
+    return tables
+
+
+def _closed(ring, vecs, code, limit):
     """`verify_closure` of a nonempty census: `vecs` (m_c, n) the used
     columns in lexicographic order and `code` (m, n) the indices of each
     element's columns among them.
 
-    A prefix tree of the elements' tuples is built to depth n - 1:
-    `step[j][p * m_c + c]` is the child by column c of node p of depth j, or
-    the dead node 0.  The last columns below a node of depth n - 1 are its
-    bitmask of ceil(m_c / 64) words, and nodes with equal masks form one
-    state.  For B below node p, AB is an element iff sigma walks p's path
-    to a live node t and sigma(b_n) is a last column below t; the b_n below
-    p are exactly the columns of p's state.  So every AB passes iff the OR
-    of the bits sigma(c) over the columns c of p's state lies in t's mask:
-    one subset test per map and node, the dead node having the empty mask.
+    The elements' tuples form a prefix tree (`_prefix_tree`).  The last
+    columns below a node p of depth n - 1 are its bitmask of ceil(m_c / 64)
+    words, and nodes with equal masks form one state.  For B below p, AB
+    is an element iff sigma walks p's path to a live node t and sigma(b_n)
+    is a last column below t; the b_n below p are exactly the columns of
+    p's state.  So every AB passes iff the OR of the bits sigma(c) over the
+    columns c of p's state lies in t's mask: one subset test per map and
+    node, the dead node having the empty mask.  The walk runs node-major,
+    every node's row holding all maps, so each gather reads whole rows.
     """
     (m, n), mc = code.shape, len(vecs)
     cols = _batch.row_keys(vecs, ring.order)             # sorted, as the columns are
@@ -560,41 +615,33 @@ def _closed(ring, vecs, code):
     act = cls[row].reshape(m, n)
     _, once = np.unique(act.view(np.dtype((np.void, act.itemsize * n)))[:, 0], return_index=True)
     dots, act = dots[first].T.copy(), act[once]
-    maps = np.empty((len(act), mc), dtype=np.intp)       # index of sigma(c), or -1
+    maps = np.empty((mc, len(act)), dtype=np.intp)       # index of sigma(c), or -1
     for part in _batch.chunks(len(act), mc * n):
-        maps[part] = _batch.lookup(cols, _batch.row_keys(dots[:, act[part]], ring.order)).T
+        maps[:, part] = _batch.lookup(cols, _batch.row_keys(dots[:, act[part]], ring.order))
     if (maps < 0).any():
         return False
-    # the nodes of depth j + 1 are the distinct (parent, column) pairs of the
-    # elements; nodes are numbered from 1 at every depth, the root is node 1
-    node, size, step = np.ones(m, dtype=np.intp), 1, []
-    for j in range(n - 1):
-        pairs, child = np.unique(node * mc + code[:, j], return_inverse=True)
-        table = np.zeros((size + 1) * mc, dtype=np.intp)
-        table[pairs] = np.arange(1, len(pairs) + 1)
-        step.append((table, *np.divmod(pairs, mc)))      # (step[j], parent, column)
-        node, size = child + 1, len(pairs)
-    last = np.zeros((size + 1, mc), dtype=bool)
-    last[node, code[:, -1]] = True
-    mask = _batch.pack_bits(last)                        # bit c in word c // 64
+    tables = _prefix_tree(code, mc, limit)
+    step = [(table, *np.divmod(np.flatnonzero(table), mc)) for table in tables[:-1]]
+    last = tables[-1].reshape(-1, mc) != 0               # the last columns below each node
+    size, mask = len(last) - 1, _batch.pack_bits(last)   # bit c in word c // 64
     words = mask.shape[1]
     _, rep, state = np.unique(mask[1:].view(np.dtype((np.void, 8 * words)))[:, 0],
                               return_index=True, return_inverse=True)
     owner, member = np.nonzero(last[1:][rep])            # the columns of each state
     starts = np.searchsorted(owner, np.arange(len(rep)))
-    outside = ~mask
+    outside = np.ascontiguousarray(~mask.T)              # (words, nodes)
     # blocks of CHUNK / 64 entries, so that the walk's gathers stay in cache
-    for part in _batch.chunks(len(maps), 64 * (size * words + len(member))):
-        sigma = maps[part]
-        at = np.ones((len(sigma), 1), dtype=np.intp)     # the root, for each map
+    for part in _batch.chunks(maps.shape[1], 64 * (size * words + len(member))):
+        sigma = maps[:, part]                            # (m_c, maps)
+        at = np.ones((1, sigma.shape[1]), dtype=np.intp) # the root, for each map
         for table, parent, col in step:
-            at = table[at[:, parent - 1] * mc + sigma[:, col]]
+            at = table[at[parent - 1] * mc + sigma[col]]   # (nodes, maps)
         bit = np.left_shift(np.uint64(1), (sigma % 64).astype(np.uint64))
-        need = np.stack([np.bitwise_or.reduceat(np.where(sigma // 64 == w, bit, 0)[:, member],
-                                                starts, axis=1)
-                         for w in range(words)], axis=-1)  # (maps, states, words)
-        if (need[:, state] & np.take(outside, at, axis=0)).any():
-            return False
+        for w in range(words):
+            word = np.where(sigma // 64 == w, bit, 0)
+            need = np.bitwise_or.reduceat(word[member], starts)   # (states, maps)
+            if (need[state] & outside[w][at]).any():
+                return False
     return True
 
 
@@ -678,11 +725,11 @@ def census_table(ring, n, budget=None):
     O = LO ∩ RO is the left search filtered by the row condition, so one
     count-only walk per idempotent gives both: |LO| is the two-sided
     census's `one_sided_count`, its leaf multisets before the row test
-    weighed by their orderings.
+    weighed by their orderings, which no other caller asks the walk for.
     """
     rows = []
     for k in ring.idempotents():
-        o = enumerate_semigroup(ring, n, k, "two_sided", budget=budget)
+        o = enumerate_semigroup(ring, n, k, "two_sided", budget=budget, one_sided=True)
         lo = o.one_sided_count
         rows.append({
             "k": ring.render(k),

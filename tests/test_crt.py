@@ -240,9 +240,59 @@ def test_bijection_fails_on_a_doctored_direct_census(monkeypatch, doctor, side):
     assert honest["bijection_ok"] is True and report["bijection_ok"] is False
 
 
+@pytest.mark.parametrize("side", ["left", "right", "two_sided"])
+@pytest.mark.parametrize("doctor", ["duplicate", "foreign", "dead_symbol"])
+def test_bijection_fails_on_a_doctored_census_with_a_walked_factor(monkeypatch, doctor, side):
+    # Z5 at n = 3 is past the naive cap, so its census is walked and every
+    # direct element walks its prefix tree.  The direct census keeps its
+    # count but loses an element, the one whose factor parts both come last
+    # in their censuses' order of vectors: a neighbour is listed twice; or
+    # 6B takes its place (6 is 0 mod 3 and 1 mod 5), with B over Z5
+    # symmetric and of columns (1, 2, 0), (2, 1, 0) and 0, each isotropic
+    # and so a vector of the Z5 census, but not orthogonal, so its walk dies
+    # inside the tree; or the matrix with the lost element's Z3 part and the
+    # Z5 part I, whose columns are no vectors of the Z5 census: the dead
+    # symbol.  Each would take exactly the empty product position if a dead
+    # walk read as the rank before the first (6B's Z3 part, 0, comes first),
+    # or, one-sided, the dead symbol as the last vector (the lost Z5 part is
+    # then the last vector n times)
+    z3, z5, z15 = make_zmod(3), make_zmod(5), make_zmod(15)
+    walk = crt.enumerate_semigroup
+    census = walk(z15, 3, 0, side)
+    arr = census.array.copy()
+    if doctor == "duplicate":
+        arr[1] = arr[0]
+    else:
+        def last(ring):          # vectors are columns, rows on the right
+            a = walk(ring, 3, 0, side).array.astype(int)
+            vecs = (a if side == "right" else a.swapaxes(1, 2)).reshape(len(a), -1)
+            return a[max(range(len(a)), key=lambda i: vecs[i].tolist())]
+        at = np.flatnonzero((arr == (10 * last(z3) + 6 * last(z5)) % 15).all(axis=(1, 2)))[0]
+        if doctor == "foreign":                                  # 10 is 1 mod 3, 0 mod 5
+            arr[at] = 6 * np.array([[1, 2, 0], [2, 1, 0], [0, 0, 0]])
+            columns = {(1, 2, 0), (2, 1, 0), (0, 0, 0)}
+        else:
+            arr[at] = (10 * last(z3) + 6 * np.eye(3, dtype=int)) % 15
+            columns = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        z3_part, z5_part = map_matrix(split(z15), Mat(z15, 3, 3, arr[at].ravel().tolist()))
+        assert z3_part in walk(z3, 3, 0, side)
+        assert z5_part not in (z5_census := walk(z5, 3, 0, side))
+        vectors = {tuple(v) for v in z5_census._paths[0].tolist()}
+        assert columns <= vectors if doctor == "foreign" else columns.isdisjoint(vectors)
+    honest = verify_semigroup_isomorphism(z15, 3, 0, side)
+    monkeypatch.setattr(crt, "enumerate_semigroup", lambda ring, n, k, side, budget=None: (
+        SemigroupCensus(ring, n, k, side, _array=arr, nodes=census.nodes) if ring is z15
+        else walk(ring, n, k, side, budget=budget)))
+    report = verify_semigroup_isomorphism(z15, 3, 0, side)
+    assert report["factor_counts"] == honest["factor_counts"]
+    assert report["product"] == report["direct_count"] == honest["direct_count"] == census.count
+    assert honest["bijection_ok"] is True and report["bijection_ok"] is False
+
+
 def test_the_bijection_check_forms_no_census_array(monkeypatch):
-    # LO_3(0, Z15) is listed as paths and keyed from them; Z5 at n = 3 is
-    # past the naive cap, so its census is searched and keyed the same way
+    # LO_3(0, Z15) is listed as paths and walked along them; Z5 at n = 3 is
+    # past the naive cap, so its census is searched and its paths give the
+    # tree.  Neither census is keyed
     built, enumerate_direct = [], crt.enumerate_semigroup
 
     def recording(*args, **kwargs):
@@ -254,7 +304,7 @@ def test_the_bijection_check_forms_no_census_array(monkeypatch):
     assert report["bijection_ok"] is True
     assert report["product"] == report["direct_count"] == 78225
     assert [c.ring.literal for c in built] == ["Z15", "Z5"]
-    assert all("array" not in c.__dict__ for c in built)
+    assert all("array" not in c.__dict__ and "_keys" not in c.__dict__ for c in built)
 
 
 def test_non_idempotent_k_rejected():

@@ -331,7 +331,9 @@ CLOSURE_CASES = (
     [(ring, n, k, side) for ring in ring_family() for n in (1, 2)
      for k in ring.elements() for side in SIDES]
     + [(ring, 3, k, side) for ring in (Z6, R2, make_zmod(4))
-       for k in ring.idempotents() for side in SIDES])
+       for k in ring.idempotents() for side in SIDES]
+    # 90 used columns: the state masks take two 64-bit words
+    + [(make_zmod(10), 3, 1, "left")])
 
 
 @pytest.mark.parametrize("ring,n,k,side", CLOSURE_CASES,
@@ -353,6 +355,33 @@ def test_non_idempotent_censuses_are_not_closed(ring, k, side):
     assert census.count > 0
     assert verify_closure(census) is False
     assert census.checks["closure_verified"] is False
+
+
+def test_closure_over_two_mask_words_misses_a_removed_element():
+    # LO_3(1, Z10) is a group on 90 used columns, two mask words; a finite
+    # group less one element is not closed
+    census = enumerate_semigroup(make_zmod(10), 3, 1, "left")
+    assert census.count == 1440
+    assert len(np.unique(census._paths[1])) == 90
+    short = SemigroupCensus(census.ring, 3, 1, "left", census.array[1:])
+    assert verify_closure(short) is _closure_by_products(short) is False
+
+
+def test_prefix_tree_tables_are_charged_before_they_are_built():
+    # four rows over 3 symbols: 2 * 3 entries for the root's table, then
+    # (2 + 1) * 3 for the nodes (0,) and (1,), then (3 + 1) * 3 for the
+    # three nodes of depth 2
+    code = np.array([[0, 0, 1], [0, 2, 2], [1, 0, 0], [0, 0, 2]])
+    tables = search._prefix_tree(code, 3, 6 + 9 + 12)
+    assert [len(t) for t in tables] == [6, 9, 12]
+    assert int(tables[-1].max()) == 4                  # the distinct rows
+    with pytest.raises(BudgetExceededError, match="needs 27 table entries by depth 3"):
+        search._prefix_tree(code, 3, 26)
+    # a caller deriving 5 more entries per node (the CRT check's tables on
+    # the direct candidates) is charged 8 per node
+    assert len(search._prefix_tree(code, 3, 72, derived=5)) == 3
+    with pytest.raises(BudgetExceededError, match="needs 72 table entries by depth 3"):
+        search._prefix_tree(code, 3, 71, derived=5)
 
 
 def test_non_idempotent_k_closure_is_reported_not_asserted():
@@ -958,7 +987,8 @@ def _walk_results():
                 out.append((ring.literal, n, k, side, c.count, c.nodes, c.array.tobytes()))
     for ring, n, k in [(make_galois_field(3), 4, 1), (F2, 5, 0), (R2, 4, V)]:
         c = enumerate_semigroup(ring, n, k, "two_sided")
-        out.append((c.count, c.nodes, c.one_sided_count, c.array.tobytes()))
+        lo = next(r["lo"] for r in census_table(ring, n) if r["k"] == ring.render(k))
+        out.append((c.count, c.nodes, lo, c.array.tobytes()))
     out.append(census_table(R2, 3))
     for ring, n in [(Z6, 2), (Z6, 3), (make_zmod(4), 4), (make_zmod(5), 2), (R2, 2)]:
         w = antiorthogonal_exists(ring, n)
