@@ -23,7 +23,8 @@ from .codes import code_from_generator, drop_rows, duality_report, systematic_fr
 from .errors import KorthosError
 from .matrices import Mat
 from .rings import Ring, parse_ring
-from .search import _antiorthogonal_search, census_table, enumerate_semigroup, normalize_side
+from .search import (_antiorthogonal_search, _factored_counts, census_table,
+                     enumerate_semigroup, normalize_side)
 from .crt import split, verify_semigroup_isomorphism
 
 EXIT_OK = 0
@@ -66,31 +67,36 @@ def _cmd_census(args):
     ring = parse_ring(args.ring)
     side = normalize_side(args.side)
     ks = [ring.parse_element(args.k)] if args.k is not None else ring.idempotents()
-    censuses = [enumerate_semigroup(ring, args.n, k, side) for k in ks]
-    entries = []
-    for census in censuses:
-        row = {"k": ring.render(census.k), "side": side, "count": census.count}
-        if args.emit == "matrices":
-            row["matrices"] = [m.render_entries() for m in census.elements]
-        entries.append(row)
+    params = {"n": args.n, "side": side, "k": args.k, "emit": args.emit}
+    if args.emit == "counts":   # through the CRT split: one walk per factor
+        counts = _factored_counts(ring, args.n, ks, side)
+        entries = [{"k": ring.render(k), "side": side, "count": count}
+                   for k, (count, _, _) in zip(ks, counts)]
+        result = {"n": args.n, "censuses": entries,
+                  "factors": [f.literal for f in split(ring).factors]}
+        nodes, censuses = sum(nodes for _, _, nodes in counts), None
+    else:
+        censuses = [enumerate_semigroup(ring, args.n, k, side) for k in ks]
+        entries = [{"k": ring.render(c.k), "side": side, "count": c.count,
+                    "matrices": [m.render_entries() for m in c.elements]} for c in censuses]
+        result = {"n": args.n, "censuses": entries}
+        nodes = sum(c.nodes for c in censuses)
 
     def text():   # lazy, so a JSON listing renders no matrix text
         yield f"{side} census over {ring.literal}, n={args.n}"
-        for row, census in zip(entries, censuses):
+        for i, row in enumerate(entries):
             yield f"  k={row['k']}: {row['count']} matrices"
-            if args.emit == "matrices":
-                yield from ("    " + m.to_text() for m in census.elements)
+            if censuses:
+                yield from ("    " + m.to_text() for m in censuses[i].elements)
 
-    return _Run(ring, {"n": args.n, "side": side, "k": args.k, "emit": args.emit},
-                {"n": args.n, "censuses": entries}, sum(c.nodes for c in censuses),
-                text(), ["k,side,count", *(f"{r['k']},{r['side']},{r['count']}"
-                                           for r in entries)])
+    return _Run(ring, params, result, nodes, text(),
+                ["k,side,count", *(f"{r['k']},{r['side']},{r['count']}" for r in entries)])
 
 
 def _cmd_tables(args):
     ring = parse_ring(args.ring)
     rows = census_table(ring, args.n)
-    result = {"n": args.n, "rows": rows}
+    result = {"n": args.n, "rows": rows, "factors": [f.literal for f in split(ring).factors]}
     text = [f"census table over {ring.literal}, n={args.n}",
             f"{'k':>8} {'LO':>8} {'O':>8} {'LO-O':>8}",
             *(f"{r['k']:>8} {r['lo']:>8} {r['o']:>8} {r['diff']:>8}" for r in rows)]

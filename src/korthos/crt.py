@@ -5,7 +5,9 @@ of factor rings as one table of factor images: Z_n splits by prime powers
 (e -> e mod q), F+vF splits onto two copies of F via the explicit linear maps
 (a+vb -> (a+b, a) when v*v = v; a+vb -> (a-b, a+b) when v*v = 1), and product
 rings split into their components.  The inverse map is the same table read
-backwards, through the mixed-radix code of the factor parts.  When every
+backwards, through the mixed-radix code of the factor parts.  `split` builds
+and verifies the split once per ring, and the counts of `search.census_table`
+and of the count-only census are products over its factors.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -130,12 +132,19 @@ class CrtSplit:
 
 
 def split(ring):
-    """Build the verified residue decomposition of a supported ring.
+    """The verified residue decomposition of a supported ring.
 
     Z_n factors by prime powers (a single prime power is its own sole
     factor); v-extensions map onto base x base; product rings split into
-    components; fields split trivially.
+    components; fields split trivially.  The split is fixed by the ring, so
+    it is built and verified once per ring and shared by every call with an
+    equal ring; its `forward_np` is read-only.
     """
+    return _split(ring)
+
+
+@cache
+def _split(ring):
     e = np.arange(ring.order)
     if isinstance(ring, ZmodRing):
         qs = _prime_power_factors(ring.n)
@@ -156,7 +165,9 @@ def split(ring):
         factors, images = [ring], [e]
     else:
         raise NotSplittableError(f"no residue decomposition for {ring.literal}")
-    out = CrtSplit(ring, factors, np.stack(images, axis=1).astype(np.uint8))
+    forward = np.stack(images, axis=1).astype(np.uint8)
+    forward.flags.writeable = False
+    out = CrtSplit(ring, factors, forward)
     out.verify()
     return out
 

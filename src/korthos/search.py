@@ -29,6 +29,14 @@ not listed.  Its sorted keys are computed from the paths
 (`_batch.path_keys`), and `census.array`, one (count, n, n) uint8 array of
 entry indices in canonical order, is decoded from them when asked for.
 
+Counts alone go through the CRT split (`_factored_counts`): over
+R = R_1 x ... x R_t the equations split entry by entry, so LO, RO and O at k
+are the products of the same censuses over the factors of `crt.split(ring)`
+at forward(k), for every k.  `census_table` and the CLI's count-only census
+walk each (factor, k_j) once per call and multiply; a local ring is its own
+single factor.  `enumerate_semigroup` and `count_semigroup` walk the ring
+itself, and are the oracles the factored count is tested against.
+
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes, each a multiset;
 exceeding it raises and returns nothing partial.  Every stage charges its
@@ -723,22 +731,60 @@ def census_table(ring, n, budget=None):
     the census tables (|LO| = |RO|, |O|, and their difference).
 
     O = LO ∩ RO is the left search filtered by the row condition, so one
-    count-only walk per idempotent gives both: |LO| is the two-sided
-    census's `one_sided_count`, its leaf multisets before the row test
-    weighed by their orderings, which no other caller asks the walk for.
+    count-only walk per factor of the CRT split gives both: |LO| is the
+    two-sided census's `one_sided_count`, its leaf multisets before the row
+    test weighed by their orderings, which no other caller asks the walk
+    for.  Each count is the product of the factor counts
+    (`_factored_counts`), and a row's `nodes` are those of the factor walks
+    it ran first, so the rows' nodes add up to the nodes walked.
     """
+    ks = ring.idempotents()
     rows = []
-    for k in ring.idempotents():
-        o = enumerate_semigroup(ring, n, k, "two_sided", budget=budget, one_sided=True)
-        lo = o.one_sided_count
+    for k, (o, lo, nodes) in zip(ks, _factored_counts(ring, n, ks, "two_sided", budget,
+                                                      one_sided=True)):
         rows.append({
             "k": ring.render(k),
             "lo": lo,
-            "o": o.count,
-            "diff": lo - o.count,
-            "nodes": o.nodes,
+            "o": o,
+            "diff": lo - o,
+            "nodes": nodes,
         })
     return rows
+
+
+def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
+    """[(count, one_sided_count, nodes)] of the census at each k of `ks`, by
+    the CRT theorem: over R = R_1 x ... x R_t the equations A^T A = kI and
+    A A^T = kI split entry by entry, so the census is the product of the
+    censuses over the factors of `crt.split(ring)` at forward(k), for every
+    k.  Each factor is walked by `enumerate_semigroup` once per (factor,
+    k_j) in one call, and the counts multiply; `one_sided_count` is None
+    unless `one_sided`.  `nodes` are those of the walks a k ran first.  A
+    local ring is its own single factor, walked as it is.  A factor walk
+    over the budget raises naming the factor and its k_j."""
+    from .crt import split     # crt builds on this module
+    crt_split = split(ring)
+    walks, out = {}, []
+    for k in ks:
+        count, left, nodes = 1, 1, 0
+        for factor, kj in zip(crt_split.factors, crt_split.forward(k)):
+            if (factor, kj) not in walks:
+                try:
+                    census = enumerate_semigroup(factor, n, kj, side, budget,
+                                                 one_sided=one_sided)
+                except BudgetExceededError as exc:
+                    if len(crt_split.factors) == 1:
+                        raise
+                    raise BudgetExceededError(
+                        f"walking factor {factor.literal} of {ring.literal} at "
+                        f"k={factor.render(kj)}: {exc}", exc.profile) from None
+                walks[factor, kj] = census.count, census.one_sided_count
+                nodes += census.nodes
+            count *= walks[factor, kj][0]
+            if one_sided:
+                left *= walks[factor, kj][1]
+        out.append((count, left if one_sided else None, nodes))
+    return out
 
 
 def antiorthogonal_exists(ring, n, budget=None):

@@ -327,6 +327,25 @@ def test_budget_env_propagates(monkeypatch, capsys):
     assert "budget" in err
 
 
+def test_budget_failure_names_the_factor_walked(monkeypatch, capsys):
+    monkeypatch.setenv("KORTHOS_BUDGET", "10")
+    code, _, err = run(capsys, "tables", "--ring", "Z6", "--n", "3")
+    assert code == 1
+    assert err.startswith("korthos: error: walking factor Z2 of Z6 at k=0: search exceeded "
+                          "the node budget of 10 ")
+
+
+@pytest.mark.parametrize("side", ["left", "right", "two"])
+def test_count_only_census_agrees_with_the_listing(capsys, side):
+    argv = ("census", "--ring", "Z6", "--n", "3", "--side", side)
+    code, counted, _ = run_json(capsys, *argv)
+    assert code == 0 and counted["result"]["factors"] == ["Z2", "Z3"]
+    code, listed, _ = run_json(capsys, *argv, "--emit", "matrices")
+    assert code == 0 and "factors" not in listed["result"]
+    assert [(c["k"], c["count"]) for c in counted["result"]["censuses"]] == [
+        (c["k"], len(c["matrices"])) for c in listed["result"]["censuses"]]
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_budget_env_exits_1(monkeypatch, capsys, value):
     monkeypatch.setenv("KORTHOS_BUDGET", value)

@@ -109,6 +109,23 @@ def test_every_split_verifies_and_round_trips():
         assert all(s.backward(s.forward(e)) == e for e in ring.elements())
 
 
+def test_split_is_built_and_verified_once_per_ring(monkeypatch):
+    verified, real = [], CrtSplit.verify
+    monkeypatch.setattr(CrtSplit, "verify", lambda self: verified.append(self.source) or real(self))
+    crt._split.cache_clear()
+    first = split(make_zmod(6))                 # equal rings share one split
+    assert split(make_zmod(6)) is first and split(Z6) is first
+    assert split(make_zmod(10)) is not first
+    assert [r.literal for r in verified] == ["Z6", "Z10"]
+
+
+def test_shared_split_map_is_read_only():
+    s = split(Z6)
+    with pytest.raises(ValueError, match="read-only"):
+        s.forward_np[0, 0] = 1
+    assert s.forward(5) == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # matrix maps
 

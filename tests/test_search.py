@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -681,12 +682,49 @@ def test_census_table_f2():
 def test_census_table_matches_separate_searches(ring, n):
     rows = census_table(ring, n)
     assert [r["k"] for r in rows] == [ring.render(k) for k in ring.idempotents()]
+    s, walked = split(ring), set()
     for row, k in zip(rows, ring.idempotents()):
         left = enumerate_semigroup(ring, n, k, "left")
         two = enumerate_semigroup(ring, n, k, "two_sided")
         assert (row["lo"], row["o"], row["diff"]) == (left.count, two.count,
                                                       left.count - two.count)
-        assert row["nodes"] == left.nodes
+        # a row is charged the factor walks it runs first, each visiting
+        # the nodes of the factor's left walk
+        new = set(zip(s.factors, s.forward(k))) - walked
+        walked |= new
+        assert row["nodes"] == sum(enumerate_semigroup(f, n, kj, "left").nodes for f, kj in new)
+
+
+@pytest.mark.parametrize("ring", ring_family(), ids=lambda r: r.literal)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("side", SIDES)
+def test_factored_count_equals_the_direct_walk(ring, n, side):
+    # every element k, not only the idempotents; the family holds Z12 and R2
+    ks = ring.elements()
+    counts = search._factored_counts(ring, n, ks, side, one_sided=side == "two_sided")
+    for k, (count, left, _) in zip(ks, counts):
+        assert count == enumerate_semigroup(ring, n, k, side).count
+        if side == "two_sided":
+            assert left == enumerate_semigroup(ring, n, k, "left").count
+        else:
+            assert left is None
+
+
+def test_factor_budget_failure_names_the_factor():
+    # LO_3(4, Z6) walks Z2 at 0, then Z3 at 1, which needs more nodes
+    z2_nodes = count_semigroup(make_zmod(2), 3, 0)[1]
+    assert count_semigroup(make_zmod(3), 3, 1)[1] > z2_nodes
+    with pytest.raises(BudgetExceededError,
+                       match=rf"^walking factor Z3 of Z6 at k=1: search exceeded the node "
+                             rf"budget of {z2_nodes} ") as err:
+        search._factored_counts(Z6, 3, [4], "left", budget=z2_nodes)
+    assert err.value.profile["candidates"] == 27
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            f"walking factor GF(2) of {R2.literal} at k=0: search exceeded")):
+        census_table(R2, 3, budget=10)
+    # a local ring is its own single factor: the walk's own message
+    with pytest.raises(BudgetExceededError, match="^search exceeded"):
+        census_table(make_zmod(4), 3, budget=10)
 
 
 def test_node_counts_are_pinned():
@@ -1115,13 +1153,17 @@ def test_walks_without_deeper_nodes():
     assert census.array.shape == (0, 3, 3)
 
 
-# |LO_4(k, R2)|, |O_4(k, R2)| and the nodes of each two-sided walk, k = 0, v, 1, 1+v
+# |LO_4(k, R2)|, |O_4(k, R2)| and the nodes of each table row, k = 0, v, 1, 1+v:
+# R2 splits onto GF(2) x GF(2), k onto (0, 0), (1, 0), (1, 1), (0, 1), so the
+# rows for 0 and v walk GF(2) at 0 and at 1, and the others walk nothing new
 R2_N4_ROWS = [
-    {"k": "0", "lo": 541696, "o": 10816, "diff": 530880, "nodes": 40280},
-    {"k": "v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 5920},
-    {"k": "1", "lo": 2304, "o": 2304, "diff": 0, "nodes": 3392},
-    {"k": "1+v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 5920},
+    {"k": "0", "lo": 541696, "o": 10816, "diff": 530880, "nodes": 231},
+    {"k": "v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 86},
+    {"k": "1", "lo": 2304, "o": 2304, "diff": 0, "nodes": 0},
+    {"k": "1+v", "lo": 35328, "o": 4992, "diff": 30336, "nodes": 0},
 ]
+# the nodes of the direct two-sided walk over R2 at each k
+R2_N4_DIRECT_NODES = [40280, 5920, 3392, 5920]
 
 
 def test_pinned_r2_rows_are_products_over_the_crt_factors():
@@ -1140,6 +1182,10 @@ def test_census_large_cases_are_pinned(monkeypatch, chunk):
     # at CHUNK = 64 a block holds one node
     monkeypatch.setattr(_batch, "CHUNK", chunk)
     assert census_table(R2, 4) == R2_N4_ROWS
+    for row, k, nodes in zip(R2_N4_ROWS, R2.idempotents(), R2_N4_DIRECT_NODES):
+        direct = enumerate_semigroup(R2, 4, k, "two_sided", one_sided=True)
+        assert (direct.one_sided_count, direct.count, direct.nodes) == (row["lo"], row["o"],
+                                                                        nodes)
     assert count_semigroup(make_zmod(5), 4, 4, "two_sided") == (28800, 13405)
     assert count_semigroup(make_galois_field(3), 4, 1, "two_sided") == (1152, 621)
 
