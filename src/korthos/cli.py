@@ -68,9 +68,9 @@ def _cmd_census(args):
     side = normalize_side(args.side)
     ks = [ring.parse_element(args.k)] if args.k is not None else ring.idempotents()
     params = {"n": args.n, "side": side, "k": args.k, "emit": args.emit}
-    if args.emit == "counts":   # through the CRT split: one walk per factor
-        counts = _factored_counts(ring, args.n, ks, side)
-        entries = [{"k": ring.render(k), "side": side, "count": count}
+    if args.emit == "counts":   # through the CRT split: a field factor in closed form
+        count_from, counts = _factored_counts(ring, args.n, ks, side)
+        entries = [{"k": ring.render(k), "side": side, "count": count, "count_from": count_from}
                    for k, (count, _, _) in zip(ks, counts)]
         result = {"n": args.n, "censuses": entries,
                   "factors": [f.literal for f in split(ring).factors]}

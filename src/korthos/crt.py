@@ -4,10 +4,15 @@ A `CrtSplit` carries the componentwise isomorphism from a ring onto a product
 of factor rings as one table of factor images: Z_n splits by prime powers
 (e -> e mod q), F+vF splits onto two copies of F via the explicit linear maps
 (a+vb -> (a+b, a) when v*v = v; a+vb -> (a-b, a+b) when v*v = 1), and product
-rings split into their components.  The inverse map is the same table read
-backwards, through the mixed-radix code of the factor parts.  `split` builds
-and verifies the split once per ring, and the counts of `search.census_table`
-and of the count-only census are products over its factors.  When every
+rings split each component by its own split (Z6xZ5 -> Z2 x Z3 x Z5).  The
+inverse map is the same table read backwards, through the mixed-radix code
+of the factor parts.  `split` builds and verifies the split once per ring,
+and the counts of `search.census_table` and of the count-only census are
+products over its factors.  The count-only census counts a field factor in
+closed form (`_field_count`): at a = 0 from the number of totally isotropic
+subspaces (D. E. Taylor, The Geometry of the Classical Groups, 1992), at a
+unit a from |O_n(F_q)| (F. J. MacWilliams, Amer. Math. Monthly 76, 1969),
+which is also `orth_group_order`; `census_table` walks every factor.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
@@ -38,11 +43,12 @@ from .rings import (
     Ring,
     VExtensionRing,
     ZmodRing,
+    _clip,
     make_zmod,
 )
 from .search import (
+    _check_search,
     _check_sweep,
-    _naive_array,
     _naive_paths,
     _prefix_tree,
     enumerate_semigroup,
@@ -136,9 +142,10 @@ def split(ring):
 
     Z_n factors by prime powers (a single prime power is its own sole
     factor); v-extensions map onto base x base; product rings split into
-    components; fields split trivially.  The split is fixed by the ring, so
-    it is built and verified once per ring and shared by every call with an
-    equal ring; its `forward_np` is read-only.
+    the factors of their components' splits; fields split trivially.  The
+    split is fixed by the ring, so it is built and verified once per ring
+    and shared by every call with an equal ring; its `forward_np` is
+    read-only.
     """
     return _split(ring)
 
@@ -158,9 +165,11 @@ def _split(ring):
             images = [_batch._gather(F.add_np, a, b), a]
         else:
             images = [_batch._gather(F.add_np, a, F.neg_np[b]), _batch._gather(F.add_np, a, b)]
-    elif isinstance(ring, ProductRing):
-        factors = list(ring.components_rings)
-        images = np.unravel_index(e, [f.order for f in factors])
+    elif isinstance(ring, ProductRing):     # each component by its own split
+        parts = [split(c) for c in ring.components_rings]
+        digits = np.unravel_index(e, [c.order for c in ring.components_rings])
+        factors = [f for part in parts for f in part.factors]
+        images = [image for part, x in zip(parts, digits) for image in part.forward_np[x].T]
     elif isinstance(ring, GaloisFieldRing):
         factors, images = [ring], [e]
     else:
@@ -296,11 +305,96 @@ def gl_order_bruteforce(ring, n):
 
 
 def orth_group_order(ring, n):
-    """|O_n(R)| as the product of brute-force field-level counts over the
-    residue fields of the ring."""
+    """|O_n(R)| as the product of |O_n(F_q)| over the residue fields of the
+    ring, in closed form (`_orthogonal_order`); the node budget bounds only
+    the degree."""
     crt_split = split(ring)
     crt_split.require_fields()
-    out = 1
-    for factor in crt_split.factors:
-        out *= len(_naive_array(factor, n, factor.one, "two_sided"))
+    limit = resolve_budget()
+    return math.prod(_field_count(f, n, f.one, "two_sided", limit) for f in crt_split.factors)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over a field (Taylor 1992, MacWilliams 1969; see above)
+
+def _field_count(field, n, a, side, limit):
+    """|LO_n(a, F_q)| = |RO_n(a, F_q)|, or |O_n(a, F_q)| when two-sided, in
+    closed form.  It first refuses what `search._search` refuses, so the
+    node budget `limit` bounds only the degree.
+
+    At a = 0 it is `_lo_zero_over_a_field` or `_o_zero_over_a_field`.  At a
+    unit a, A^T A = aI makes A invertible, so LO = RO = O, and
+    det(A)^2 = a^n: it is empty unless a^n is a square, and otherwise one
+    coset A_0 O_n(F_q), as every form aI with a^n a square is equivalent to
+    I.  a^n is a square when n is even, and when a is; the squares are the
+    diagonal of the multiplication table."""
+    _check_search(field, n, a, limit)
+    q = field.order
+    if a == field.zero:
+        return _o_zero_over_a_field(q, n) if side == "two_sided" else _lo_zero_over_a_field(q, n)
+    square = n % 2 == 0 or bool((np.diagonal(field.mul_np) == a).any())
+    return _orthogonal_order(q, n) if square else 0
+
+
+def _lo_zero_over_a_field(q, n):
+    """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
+    A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
+    and N_r is the number of those subspaces, for the dot product x.y."""
+    return sum(_isotropic_subspaces(q, n, r) * math.prod(q ** n - q ** i for i in range(r))
+               for r in range(n // 2 + 1))
+
+
+def _o_zero_over_a_field(q, n):
+    """|O_n(0, F_q)| = sum_r N_r^2 |GL_r(F_q)|: A A^T = 0 as well makes the
+    row space W totally isotropic too, and A is fixed by its image U, W,
+    and the isomorphism it induces from F_q^n / W^perp onto U."""
+    return 1 + sum(_isotropic_subspaces(q, n, r) ** 2 * gl_order(q, r)   # 1: r = 0, A = 0
+                   for r in range(1, n // 2 + 1))
+
+
+def _exact(top, bottom):
+    """top / bottom, which the closed form says is whole."""
+    out, rest = divmod(top, bottom)
+    if rest:
+        raise InvariantViolationError(
+            f"closed form: {_clip(bottom)} does not divide {_clip(top)}")
     return out
+
+
+def _eps(q, m):
+    """+1 when (-1)^m is a square in F_q, q odd (x.x on F_q^2m is then
+    hyperbolic), else -1."""
+    return 1 if m % 2 == 0 or q % 4 == 1 else -1
+
+
+def _isotropic_subspaces(q, n, r):
+    """N_r, the number of r-dimensional totally isotropic subspaces of F_q^n
+    for the dot product x.y, for r <= n // 2; there are none above.  Every
+    exponent below is then >= 0, so the arithmetic stays in integers.  For
+    even q the isotropic vectors span the hyperplane sum x_i = 0, on which
+    the form is alternating."""
+    def sym(m, r):      # prod_{i<r} (q^(2(m-i)) - 1)/(q^(i+1) - 1)
+        return _exact(math.prod(q ** (2 * (m - i)) - 1 for i in range(r)),
+                      math.prod(q ** (i + 1) - 1 for i in range(r)))
+
+    if q % 2 == 0:
+        return sym((n - 1) // 2, r) if n % 2 else (
+            (sym((n - 2) // 2, r - 1) if r else 0) + q ** r * sym((n - 2) // 2, r))
+    if n % 2:
+        return sym(n // 2, r)
+    m, eps = n // 2, _eps(q, n // 2)
+    return _exact(math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r)),
+                  math.prod(q ** (i + 1) - 1 for i in range(r)))
+
+
+def _orthogonal_order(q, n):
+    """|O_n(F_q)| for the dot product: for odd q, 2 |Sp_2m(F_q)| at
+    n = 2m + 1 and 2 q^(m-1) (q^m - eps) |Sp_2m-2(F_q)| at n = 2m; for even
+    q, |Sp_n-1(F_q)| at odd n and q^(n-1) |Sp_n-2(F_q)| at even n."""
+    def sp(m):          # |Sp_2m(F_q)|
+        return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+    m = n // 2
+    if q % 2 == 0:
+        return sp(m) if n % 2 else q ** (n - 1) * sp(m - 1)
+    return 2 * sp(m) if n % 2 else 2 * q ** (m - 1) * (q ** m - _eps(q, m)) * sp(m - 1)

@@ -32,10 +32,12 @@ entry indices in canonical order, is decoded from them when asked for.
 Counts alone go through the CRT split (`_factored_counts`): over
 R = R_1 x ... x R_t the equations split entry by entry, so LO, RO and O at k
 are the products of the same censuses over the factors of `crt.split(ring)`
-at forward(k), for every k.  `census_table` and the CLI's count-only census
-walk each (factor, k_j) once per call and multiply; a local ring is its own
-single factor.  `enumerate_semigroup` and `count_semigroup` walk the ring
-itself, and are the oracles the factored count is tested against.
+at forward(k), for every k.  The CLI's count-only census counts each field
+factor in closed form and walks the others; `census_table` walks every
+factor.  Each (factor, k_j) is counted once per call, and the counts
+multiply; a local ring is its own single factor.  `enumerate_semigroup` and
+`count_semigroup` walk the ring itself, and are the oracles the factored
+count is tested against.
 
 A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes, each a multiset;
@@ -277,17 +279,26 @@ def _check_degree(n):
         raise InvalidParameterError("degree n must be >= 1")
 
 
-def _search(ring, n, k, limit, two_sided=False):
-    """Validate, sweep the candidates and their pairs, and return (counter,
-    cands, the `_walk` generator).  Row i of `adj` is the set of candidates
-    j >= i orthogonal to candidate i (pair Gram matrix kI), packed in uint64
-    words by `_batch.pack_bits`, so the walk visits each multiset of columns
-    once, as its sorted path; one node per unordered pair."""
+def _check_search(ring, n, k, limit):
+    """Refuse a census that no walk could take, before any arithmetic: a
+    degree n that is not an integer >= 1, a k outside the ring, or
+    n >= the bit length of the node budget `limit`, as |R|^n >= 2^n > limit
+    candidates.  The closed-form counts over fields refuse by it too."""
     _check_degree(n)
     ring.check_element(k)
-    if n >= limit.bit_length():   # then |R|^n >= 2^n > limit candidates
+    if n >= limit.bit_length():
         raise BudgetExceededError(f"the {ring.order}^{_clip(n)} candidate columns exceed "
                                   f"the node budget of {_clip(limit)}")
+
+
+def _search(ring, n, k, limit, two_sided=False):
+    """Validate (`_check_search`), sweep the candidates and their pairs, and
+    return (counter, cands, the `_walk` generator).  Row i of `adj` is the
+    set of candidates j >= i orthogonal to candidate i (pair Gram matrix
+    kI), packed in uint64 words by `_batch.pack_bits`, so the walk visits
+    each multiset of columns once, as its sorted path; one node per
+    unordered pair."""
+    _check_search(ring, n, k, limit)
     counter = _NodeCounter(limit, n)
     cands = _column_candidates(ring, n, k, counter)   # charges the pairs too
     m = len(cands)
@@ -741,7 +752,7 @@ def census_table(ring, n, budget=None):
     ks = ring.idempotents()
     rows = []
     for k, (o, lo, nodes) in zip(ks, _factored_counts(ring, n, ks, "two_sided", budget,
-                                                      one_sided=True)):
+                                                      one_sided=True)[1]):
         rows.append({
             "k": ring.render(k),
             "lo": lo,
@@ -753,38 +764,47 @@ def census_table(ring, n, budget=None):
 
 
 def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
-    """[(count, one_sided_count, nodes)] of the census at each k of `ks`, by
+    """(count_from, [(count, one_sided_count, nodes)] at each k of `ks`), by
     the CRT theorem: over R = R_1 x ... x R_t the equations A^T A = kI and
     A A^T = kI split entry by entry, so the census is the product of the
     censuses over the factors of `crt.split(ring)` at forward(k), for every
-    k.  Each factor is walked by `enumerate_semigroup` once per (factor,
-    k_j) in one call, and the counts multiply; `one_sided_count` is None
-    unless `one_sided`.  `nodes` are those of the walks a k ran first.  A
-    local ring is its own single factor, walked as it is.  A factor walk
-    over the budget raises naming the factor and its k_j."""
-    from .crt import split     # crt builds on this module
-    crt_split = split(ring)
-    walks, out = {}, []
+    k.  A field factor is counted in closed form (`crt._field_count`, no
+    nodes); any other, such as Z4, is walked by `enumerate_semigroup`.
+    `one_sided`, which only `census_table` asks for, weighs the walk's
+    `one_sided_count` and walks every factor, the fields too, as the
+    searched oracle of the golden tables; without it `one_sided_count` is
+    None.  `count_from` says, per factor, "closed-form" or "walk".  Each
+    factor is counted once per (factor, k_j) in one call, and the counts
+    multiply; `nodes` are those of the walks a k ran first.  A local ring
+    is its own single factor.  A factor over the budget raises naming the
+    factor and its k_j."""
+    from .crt import _field_count, split     # crt builds on this module
+    crt_split, limit = split(ring), resolve_budget(budget)
+    walked = [one_sided or not f.is_field() for f in crt_split.factors]
+    counts, out = {}, []
     for k in ks:
         count, left, nodes = 1, 1, 0
-        for factor, kj in zip(crt_split.factors, crt_split.forward(k)):
-            if (factor, kj) not in walks:
+        for factor, kj, walk in zip(crt_split.factors, crt_split.forward(k), walked):
+            if (factor, kj) not in counts:
                 try:
-                    census = enumerate_semigroup(factor, n, kj, side, budget,
-                                                 one_sided=one_sided)
+                    if walk:
+                        census = enumerate_semigroup(factor, n, kj, side, limit,
+                                                     one_sided=one_sided)
+                        counts[factor, kj] = census.count, census.one_sided_count
+                        nodes += census.nodes
+                    else:
+                        counts[factor, kj] = _field_count(factor, n, kj, side, limit), None
                 except BudgetExceededError as exc:
                     if len(crt_split.factors) == 1:
                         raise
                     raise BudgetExceededError(
                         f"walking factor {factor.literal} of {ring.literal} at "
                         f"k={factor.render(kj)}: {exc}", exc.profile) from None
-                walks[factor, kj] = census.count, census.one_sided_count
-                nodes += census.nodes
-            count *= walks[factor, kj][0]
+            count *= counts[factor, kj][0]
             if one_sided:
-                left *= walks[factor, kj][1]
+                left *= counts[factor, kj][1]
         out.append((count, left if one_sided else None, nodes))
-    return out
+    return ["walk" if walk else "closed-form" for walk in walked], out
 
 
 def antiorthogonal_exists(ring, n, budget=None):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from korthos import enumerate_semigroup, parse_ring, search
+from korthos import enumerate_semigroup, parse_ring, search, split
 from korthos.cli import build_parser, main
+
+from helpers import ring_family
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = ROOT / "tables"
@@ -321,10 +323,25 @@ def test_unsupported_options_are_usage_errors(capsys, argv):
 
 
 def test_budget_env_propagates(monkeypatch, capsys):
+    # Z12 splits into Z4, which is walked, and Z3, which is counted in closed form
     monkeypatch.setenv("KORTHOS_BUDGET", "10")
-    code, _, err = run(capsys, "census", "--ring", "Z6", "--n", "3", "--k", "0")
+    code, _, err = run(capsys, "census", "--ring", "Z12", "--n", "3", "--k", "0")
     assert code == 1
-    assert "budget" in err
+    assert err.startswith("korthos: error: walking factor Z4 of Z12 at k=0: ")
+    assert "budget of 10 " in err
+
+
+def test_budget_bounds_only_the_degree_of_a_closed_form(monkeypatch, capsys):
+    # Z6 splits into fields: no node is walked, and the budget of 10 (4 bits)
+    # refuses n = 4 as a walk would, with the walk's own message
+    monkeypatch.setenv("KORTHOS_BUDGET", "10")
+    code, payload, _ = run_json(capsys, "census", "--ring", "Z6", "--n", "3", "--k", "0")
+    assert code == 0 and payload["nodes"] == 0
+    assert payload["result"]["censuses"][0]["count"] == 22 * 105 == 2310
+    code, _, err = run(capsys, "census", "--ring", "Z6", "--n", "4", "--k", "0")
+    assert code == 1
+    assert err == ("korthos: error: walking factor Z2 of Z6 at k=0: the 2^4 candidate "
+                   "columns exceed the node budget of 10\n")
 
 
 def test_budget_failure_names_the_factor_walked(monkeypatch, capsys):
@@ -333,6 +350,31 @@ def test_budget_failure_names_the_factor_walked(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("korthos: error: walking factor Z2 of Z6 at k=0: search exceeded "
                           "the node budget of 10 ")
+
+
+@pytest.mark.parametrize("ring", [ring.literal for ring in ring_family()])
+def test_count_only_census_agrees_with_the_tables(capsys, ring):
+    # the closed forms of the census's field factors against the walks of
+    # every factor behind `tables`
+    factors = split(parse_ring(ring)).factors
+    count_from = ["closed-form" if f.is_field() else "walk" for f in factors]
+    for n in ("1", "2", "3"):
+        code, table, _ = run_json(capsys, "tables", "--ring", ring, "--n", n)
+        assert code == 0 and table["result"]["factors"] == [f.literal for f in factors]
+        for side, column in (("left", "lo"), ("two", "o")):
+            code, census, _ = run_json(capsys, "census", "--ring", ring, "--n", n, "--side", side)
+            assert code == 0 and census["result"]["factors"] == table["result"]["factors"]
+            assert [(c["k"], c["count"], c["count_from"])
+                    for c in census["result"]["censuses"]] == [
+                (r["k"], r[column], count_from) for r in table["result"]["rows"]]
+
+
+def test_count_only_census_of_a_field_is_closed_form(capsys):
+    # the walk takes 91,664,916 nodes (4.6 s) for the same count
+    code, payload, _ = run_json(capsys, "census", "--ring", "GF(2)", "--n", "8", "--k", "0")
+    assert code == 0 and payload["nodes"] == 0
+    assert payload["result"]["censuses"] == [{"k": "0", "side": "left", "count": 569316868096,
+                                              "count_from": ["closed-form"]}]
 
 
 @pytest.mark.parametrize("side", ["left", "right", "two"])

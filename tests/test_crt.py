@@ -10,6 +10,8 @@ from korthos import (
     InvalidParameterError,
     Mat,
     NotSplittableError,
+    census_table,
+    count_semigroup,
     enumerate_semigroup,
     gl_order,
     gl_order_bruteforce,
@@ -21,11 +23,12 @@ from korthos import (
     make_zmod,
     map_matrix,
     orth_group_order,
+    parse_ring,
     split,
     verify_semigroup_isomorphism,
 )
-from korthos import crt
-from korthos.search import SemigroupCensus
+from korthos import _batch, crt
+from korthos.search import SIDES, SemigroupCensus, resolve_budget
 
 from helpers import det_rec, ring_family
 
@@ -72,6 +75,31 @@ def test_product_ring_split_is_identity():
     e = prod.make((1, 2))
     assert s.forward(e) == (1, 2)
     assert s.backward((1, 2)) == e
+
+
+def test_product_ring_splits_down_to_prime_powers():
+    # each component by its own split: Z6xZ5 -> Z2 x Z3 x Z5, Z4xR2 -> Z4 x GF(2) x GF(2)
+    ring = parse_ring("Z6xZ5")
+    s = split(ring)
+    assert [f.literal for f in s.factors] == ["Z2", "Z3", "Z5"] and s.splits_to_fields()
+    e = ring.make((5, 3))
+    assert s.forward(e) == (1, 2, 3) and s.backward((1, 2, 3)) == e
+    assert [f.literal for f in split(parse_ring("Z4xR2")).factors] == ["Z4", "GF(2)", "GF(2)"]
+    for k in (ring.make((1, 1)), ring.make((4, 0))):
+        report = verify_semigroup_isomorphism(ring, 2, k, "two")
+        assert report["bijection_ok"] and report["factors"] == ["Z2", "Z3", "Z5"]
+
+
+def test_product_ring_census_table_is_unchanged_by_the_deeper_split():
+    # the rows of the walks over Z6 and Z5, before the product split Z6
+    rows = census_table(parse_ring("Z6xZ5"), 3)
+    assert [(r["k"], r["lo"], r["o"], r["diff"]) for r in rows] == [
+        ("(0,0)", 1720950, 47850, 1673100), ("(0,1)", 554400, 79200, 475200),
+        ("(1,0)", 214560, 41760, 172800), ("(1,1)", 69120, 69120, 0),
+        ("(3,0)", 469350, 28710, 440640), ("(3,1)", 151200, 47520, 103680),
+        ("(4,0)", 786720, 69600, 717120), ("(4,1)", 253440, 115200, 138240)]
+    # it walks Z2, Z3 and Z5, not Z6 and Z5 (5,766 nodes)
+    assert sum(r["nodes"] for r in rows) == 1763
 
 
 def test_chain_ring_split_does_not_reach_fields():
@@ -377,3 +405,66 @@ def test_orth_group_orders():
     assert orth_group_order(Z6, 2) == 2 * 8 == 16
     assert orth_group_order(R2, 2) == 2 * 2 == 4
     assert orth_group_order(Z6, 3) == 288
+
+
+@pytest.mark.parametrize("ring,n,order", [
+    (make_galois_field(5), 3, 240), (make_galois_field(3), 4, 1152),
+    (make_zmod(15), 3, 48 * 240)], ids=["GF(5)-3", "GF(3)-4", "Z15-3"])
+def test_orth_group_order_past_the_naive_sweep(ring, n, order):
+    # |R|^(n*n) passes NAIVE_CAP here; the closed form needs no sweep
+    assert orth_group_order(ring, n) == order == count_semigroup(ring, n, ring.one, "two")[0]
+
+
+def test_orth_group_order_refuses_as_a_walk_would():
+    for n in (0, True):
+        with pytest.raises(InvalidParameterError, match="degree n must be"):
+            orth_group_order(Z6, n)
+    with pytest.raises(BudgetExceededError, match="^the 2\\^6000 candidate columns exceed"):
+        orth_group_order(Z6, 6000)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over fields
+
+CLOSED_FORM_FIELDS = [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 4), (7, 1, 4), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("p,r,top", CLOSED_FORM_FIELDS,
+                         ids=[f"GF({p},{r})" for p, r, _ in CLOSED_FORM_FIELDS])
+def test_closed_form_matches_the_walk(p, r, top):
+    # every element a, every side, n <= 4 (GF(9) at n = 4 walks 1.3 * 10^8
+    # nodes over its 27 censuses, about 3 s, so it stops at n = 3)
+    field, limit = make_galois_field(p, r), resolve_budget()
+    for n in range(1, top + 1):
+        for a in field.elements():
+            for side in SIDES:
+                assert crt._field_count(field, n, a, side, limit) == count_semigroup(
+                    field, n, a, side)[0], (n, field.render(a), side)
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 6), (3, 5), (4, 5), (5, 3)])
+def test_isotropic_subspaces_match_a_bruteforce(q, n):
+    # N_r as the number of r x n matrices in reduced row echelon form whose
+    # rows are isotropic and pairwise orthogonal: each pivot entry one, and
+    # every other row zero in the pivot's column
+    field = make_galois_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
+    vecs = _batch.all_tuples(q, n)
+    lead = (vecs != field.zero).argmax(axis=1)
+    keep = (vecs.any(axis=1) & (vecs[np.arange(len(vecs)), lead] == field.one)
+            & (_batch.batch_matmul(field, vecs[:, None, :], vecs[:, :, None])[:, 0, 0]
+               == field.zero))
+    vecs, lead = vecs[keep], lead[keep]
+    dots = _batch.batch_matmul(field, vecs, vecs.T)
+    one = np.where(np.eye(n, dtype=bool), field.one, field.zero)
+    for r in range(n // 2 + 1):
+        found = sum(
+            not dots[np.ix_(rows, rows)].any()
+            and (vecs[list(rows)][:, lead[list(rows)]] == one[:r, :r]).all()
+            for rows in itertools.combinations(range(len(vecs)), r))
+        assert found == crt._isotropic_subspaces(q, n, r), r
+
+
+def test_a_closed_form_division_with_a_remainder_is_an_invariant_violation():
+    with pytest.raises(InvariantViolationError, match="does not divide"):
+        crt._exact(7, 2)
+    assert crt._exact(8, 2) == 4

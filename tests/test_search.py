@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 import subprocess
@@ -40,7 +39,7 @@ from korthos import (
     verify_semigroup_isomorphism,
 )
 from korthos import _batch, search
-from korthos.crt import split
+from korthos.crt import _lo_zero_over_a_field, _o_zero_over_a_field, split
 from korthos.search import SIDES, SemigroupCensus, resolve_budget
 
 from helpers import ring_family
@@ -699,26 +698,30 @@ def test_census_table_matches_separate_searches(ring, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("side", SIDES)
 def test_factored_count_equals_the_direct_walk(ring, n, side):
-    # every element k, not only the idempotents; the family holds Z12 and R2
+    # every element k, not only the idempotents; the family holds Z12 and R2.
+    # The field factors are counted in closed form, the others walked
     ks = ring.elements()
-    counts = search._factored_counts(ring, n, ks, side, one_sided=side == "two_sided")
-    for k, (count, left, _) in zip(ks, counts):
-        assert count == enumerate_semigroup(ring, n, k, side).count
-        if side == "two_sided":
-            assert left == enumerate_semigroup(ring, n, k, "left").count
-        else:
-            assert left is None
+    direct = [enumerate_semigroup(ring, n, k, side).count for k in ks]
+    count_from, counts = search._factored_counts(ring, n, ks, side)
+    assert count_from == ["closed-form" if f.is_field() else "walk" for f in split(ring).factors]
+    assert [(count, left) for count, left, _ in counts] == [(count, None) for count in direct]
+    if side == "two_sided":     # census_table's path walks every factor
+        count_from, counts = search._factored_counts(ring, n, ks, side, one_sided=True)
+        assert set(count_from) == {"walk"}
+        assert [(count, left) for count, left, _ in counts] == [
+            (count, enumerate_semigroup(ring, n, k, "left").count) for count, k in zip(direct, ks)]
 
 
 def test_factor_budget_failure_names_the_factor():
-    # LO_3(4, Z6) walks Z2 at 0, then Z3 at 1, which needs more nodes
-    z2_nodes = count_semigroup(make_zmod(2), 3, 0)[1]
-    assert count_semigroup(make_zmod(3), 3, 1)[1] > z2_nodes
+    # LO_3(4, Z12) walks Z4 at 0 and counts the field Z3 at 1 in closed form
+    z4_nodes = count_semigroup(make_zmod(4), 3, 0)[1]
+    assert search._factored_counts(make_zmod(12), 3, [4], "left", budget=z4_nodes)[1][0][2] == (
+        z4_nodes)
     with pytest.raises(BudgetExceededError,
-                       match=rf"^walking factor Z3 of Z6 at k=1: search exceeded the node "
-                             rf"budget of {z2_nodes} ") as err:
-        search._factored_counts(Z6, 3, [4], "left", budget=z2_nodes)
-    assert err.value.profile["candidates"] == 27
+                       match=rf"^walking factor Z4 of Z12 at k=0: search exceeded the node "
+                             rf"budget of {z4_nodes - 1} ") as err:
+        search._factored_counts(make_zmod(12), 3, [4], "left", budget=z4_nodes - 1)
+    assert err.value.profile["candidates"] == 64
     with pytest.raises(BudgetExceededError, match=re.escape(
             f"walking factor GF(2) of {R2.literal} at k=0: search exceeded")):
         census_table(R2, 3, budget=10)
@@ -920,50 +923,6 @@ def test_the_listing_cap_admits_lo4_zero_over_r2():
         assert census.count == count and census._blocks[1] is None
         with pytest.raises(SizeCapError, match=f"{count} elements.*{search.LIST_CAP} words"):
             census._keys
-
-
-def _isotropic_subspaces(q, n, r):
-    """N_r, the number of r-dimensional totally isotropic subspaces of F_q^n
-    for the dot product x.y, for r <= n // 2; there are none above.  Every
-    exponent below is then >= 0, so the arithmetic stays in integers."""
-    def s(m, r):                                  # prod_{i<r} (q^(2(m-i)) - 1)/(q^(i+1) - 1)
-        return math.prod(q ** (2 * (m - i)) - 1 for i in range(r)) // math.prod(
-            q ** (i + 1) - 1 for i in range(r))
-
-    if q % 2 == 0:              # isotropic vectors span the hyperplane sum x_i = 0
-        return s((n - 1) // 2, r) if n % 2 else (
-            (s((n - 2) // 2, r - 1) if r else 0) + q ** r * s((n - 2) // 2, r))
-    if n % 2:
-        return s(n // 2, r)
-    m = n // 2
-    eps = 1 if m % 2 == 0 or q % 4 == 1 else -1   # (-1)^m a square in F_q
-    top = math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r))
-    return top // math.prod(q ** (i + 1) - 1 for i in range(r))
-
-
-def _onto(q, n, r):
-    """The number of linear maps of F_q^n onto F_q^r: prod_{i<r} (q^n - q^i).
-    At n = r it is |GL_r(F_q)|."""
-    return math.prod(q ** n - q ** i for i in range(r))
-
-
-def _lo_zero_over_a_field(q, n):
-    """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
-    A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
-    and N_r is the number of those subspaces, for the dot product x.y."""
-    count = sum(_isotropic_subspaces(q, n, r) * _onto(q, n, r) for r in range(n // 2 + 1))
-    assert type(count) is int
-    return count
-
-
-def _o_zero_over_a_field(q, n):
-    """|O_n(0, F_q)| = sum_r N_r^2 |GL_r(F_q)|: A A^T = 0 as well makes the
-    row space totally isotropic too, and A is fixed by its image U and its
-    row space W, both of dimension r, and the isomorphism it induces from
-    F_q^n / W^perp onto U."""
-    count = sum(_isotropic_subspaces(q, n, r) ** 2 * _onto(q, r, r) for r in range(n // 2 + 1))
-    assert type(count) is int
-    return count
 
 
 LO_ZERO_CASES = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2), (3, 1, 3),
