@@ -8,11 +8,13 @@ rings split each component by its own split (Z6xZ5 -> Z2 x Z3 x Z5).  The
 inverse map is the same table read backwards, through the mixed-radix code
 of the factor parts.  `split` builds and verifies the split once per ring,
 and the counts of `search.census_table` and of the count-only census are
-products over its factors.  The count-only census counts a field factor in
-closed form (`_field_count`): at a = 0 from the number of totally isotropic
-subspaces (D. E. Taylor, The Geometry of the Classical Groups, 1992), at a
-unit a from |O_n(F_q)| (F. J. MacWilliams, Amer. Math. Monthly 76, 1969),
-which is also `orth_group_order`; `census_table` walks every factor.  When every
+products over its factors; `search.verify_closure` checks a census that is
+the product of its factor parts on each part.  The count-only census
+counts a field factor in closed form (`_field_count`): at a = 0 from the
+number of totally isotropic subspaces (D. E. Taylor, The Geometry of the
+Classical Groups, 1992), at a unit a from |O_n(F_q)| (F. J. MacWilliams,
+Amer. Math. Monthly 76, 1969), which is also `orth_group_order`;
+`census_table` walks every factor.  When every
 factor is a field, semigroup censuses over the source ring must match the
 products of the field-level censuses factor by factor;
 `verify_semigroup_isomorphism` checks this with the actual bijection, not
@@ -340,16 +342,22 @@ def _lo_zero_over_a_field(q, n):
     """|LO_n(0, F_q)| = sum_r N_r prod_{i<r} (q^n - q^i): a matrix with
     A^T A = 0 maps F_q^n onto a totally isotropic subspace of dimension r,
     and N_r is the number of those subspaces, for the dot product x.y."""
-    return sum(_isotropic_subspaces(q, n, r) * math.prod(q ** n - q ** i for i in range(r))
-               for r in range(n // 2 + 1))
+    total, span = 0, 1                     # span: prod_{i<r} (q^n - q^i)
+    for r, count in enumerate(_isotropic_subspaces(q, n)):
+        total += count * span
+        span *= q ** n - q ** r
+    return total
 
 
 def _o_zero_over_a_field(q, n):
     """|O_n(0, F_q)| = sum_r N_r^2 |GL_r(F_q)|: A A^T = 0 as well makes the
     row space W totally isotropic too, and A is fixed by its image U, W,
     and the isomorphism it induces from F_q^n / W^perp onto U."""
-    return 1 + sum(_isotropic_subspaces(q, n, r) ** 2 * gl_order(q, r)   # 1: r = 0, A = 0
-                   for r in range(1, n // 2 + 1))
+    total, gl = 0, 1                       # gl: |GL_r(F_q)|, 1 at r = 0 (A = 0)
+    for r, count in enumerate(_isotropic_subspaces(q, n)):
+        total += count ** 2 * gl
+        gl *= q ** r * (q ** (r + 1) - 1)
+    return total
 
 
 def _exact(top, bottom):
@@ -367,24 +375,32 @@ def _eps(q, m):
     return 1 if m % 2 == 0 or q % 4 == 1 else -1
 
 
-def _isotropic_subspaces(q, n, r):
-    """N_r, the number of r-dimensional totally isotropic subspaces of F_q^n
-    for the dot product x.y, for r <= n // 2; there are none above.  Every
-    exponent below is then >= 0, so the arithmetic stays in integers.  For
-    even q the isotropic vectors span the hyperplane sum x_i = 0, on which
-    the form is alternating."""
-    def sym(m, r):      # prod_{i<r} (q^(2(m-i)) - 1)/(q^(i+1) - 1)
-        return _exact(math.prod(q ** (2 * (m - i)) - 1 for i in range(r)),
-                      math.prod(q ** (i + 1) - 1 for i in range(r)))
+def _isotropic_subspaces(q, n):
+    """[N_0, ..., N_{n // 2}]: N_r the number of r-dimensional totally
+    isotropic subspaces of F_q^n for the dot product x.y; there are none
+    above n // 2.  Each N_r is a product over i < r of whole-number factors
+    over q^(i+1) - 1, so N_(r+1) is N_r times the next factor over the next
+    divisor, one exact quotient per r.  Every exponent below is >= 0, so the
+    arithmetic stays in integers.  For even q the isotropic vectors span the
+    hyperplane sum x_i = 0, on which the form is alternating."""
+    def carried(factor):    # prod_{i<r} factor(i) / (q^(i+1) - 1), r = 0 .. n // 2
+        out = [1]
+        for i in range(n // 2):
+            out.append(_exact(out[-1] * factor(i), q ** (i + 1) - 1))
+        return out
+
+    def sym(m):             # factor(i) = q^(2(m-i)) - 1
+        return carried(lambda i: q ** (2 * (m - i)) - 1)
 
     if q % 2 == 0:
-        return sym((n - 1) // 2, r) if n % 2 else (
-            (sym((n - 2) // 2, r - 1) if r else 0) + q ** r * sym((n - 2) // 2, r))
+        if n % 2:
+            return sym((n - 1) // 2)
+        s = sym((n - 2) // 2)
+        return [(s[r - 1] if r else 0) + q ** r * s[r] for r in range(n // 2 + 1)]
     if n % 2:
-        return sym(n // 2, r)
+        return sym(n // 2)
     m, eps = n // 2, _eps(q, n // 2)
-    return _exact(math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r)),
-                  math.prod(q ** (i + 1) - 1 for i in range(r)))
+    return carried(lambda i: (q ** (m - i) - eps) * (q ** (m - i - 1) + eps))
 
 
 def _orthogonal_order(q, n):

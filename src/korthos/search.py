@@ -53,11 +53,17 @@ the |R|^n rows.
 
 The checks on a listed census run on index arrays.  `verify_closure` reads
 each element off its path as the tuple of the indices of its columns among
-the columns the census uses, and each element A as the map c -> A*c on
-them, read off one table of inner products.  Elements with equal maps have
-equal products with every B, so each distinct map is walked once through
-the prefix tree of the elements' tuples (`_prefix_tree`, dense tables of
-children, which the CRT check walks too); below a node of depth n - 1 the
+the columns the census uses.  Over a ring that splits, it projects every
+element onto each factor of `crt.split(ring)`; when the census is the
+product of its factor parts, as every walked census is, it is closed iff
+each part is, and each part is checked in its place (`_factor_parts`).  A
+local ring is its own single factor, and a census that is no product set
+is checked as it is.  A check reads each element A as the map c -> A*c on
+the used columns, read off one table of inner products.  Elements with
+equal maps have equal products with every B, so each distinct map is
+walked once through the prefix tree of the elements' tuples
+(`_prefix_tree`, dense tables of children, which the projection and the CRT
+check walk too, to number tuples); below a node of depth n - 1 the
 last columns are one bitmask, and all products through the node pass or
 fail by one subset test.  The walk is node-major: a node's row holds every
 map, so each gather reads whole rows.  It never forms the m*m products.
@@ -551,27 +557,79 @@ def verify_closure(census):
     is closed exactly when its transposes are).  Each element is the n-tuple
     of the indices of its columns among the m_c distinct columns the census
     uses, read off its paths and numbered in candidate order, which is the
-    order of their row keys.  Column j of AB is A times column j of B, so
-    AB is an element exactly when the tuple of the images of B's columns
-    under A is one.  A acts on the used columns as a map sigma read off one
-    table of the inner products of the distinct rows of the elements with
-    the used columns; an image outside them fails at once.  Elements with equal maps have equal products with every B, so
-    each distinct map is tested once (`_closed`).  The m*m_c images and m*m
-    products are charged to the node budget first, and the prefix tree's
-    tables as they are built (`_prefix_tree`).
+    order of their row keys.
+
+    Over R = R_1 x ... x R_t (`crt.split`) reduction onto each factor is a
+    ring homomorphism on matrices, and the map phi onto the factor parts is
+    a bijection.  So when the census is the product of its factor parts
+    (`_factor_parts`), it is closed iff every factor part is: the check runs
+    on each factor part in turn.  A local ring is its own single factor, and
+    a census that is no product set (a hand-built or doctored one) is
+    checked as it is.  Either way each check is `_closed`, which charges its
+    images and product lookups to the node budget first; a factor's budget
+    error names the factor.
     """
+    from .crt import split     # crt builds on this module
     ring, n, m = census.ring, census.n, census.count
     cands, paths = census._paths
     used, code = np.unique(paths.ravel(), return_inverse=True)
-    mc = len(used)
-    limit = resolve_budget()
-    if m * mc + m * m > limit:
-        raise BudgetExceededError(
-            f"closure of {m} elements over {mc} columns needs {m * mc} images and "
-            f"{m * m} product lookups, over the node budget of {limit}")
-    ok = m == 0 or _closed(ring, cands[used], code.reshape(m, n), limit)
+    vecs, code, limit = cands[used], code.reshape(m, n), resolve_budget()
+    crt_split = split(ring)
+    factors = crt_split.factors
+    parts = _factor_parts(crt_split, vecs, code, limit) if m and len(factors) > 1 else None
+    if parts is None:
+        ok = m == 0 or _closed(ring, vecs, code, limit)
+    else:
+        ok = all(_on_factor(ring, factor, _closed, factor, *part, limit)
+                 for factor, part in zip(factors, parts))
     census.checks["closure_verified"] = ok
     return ok
+
+
+def _on_factor(ring, factor, call, *args):
+    """call(*args), naming the factor of `ring` in a budget error."""
+    try:
+        return call(*args)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"checking factor {factor.literal} of {ring.literal}: {exc}",
+                                  exc.profile) from None
+
+
+def _factor_parts(crt_split, vecs, code, limit):
+    """The parts of a nonempty census over the factors of `crt_split`, one
+    (vecs_j, code_j) per factor as `_closed` takes them, or None when the
+    census is not their product.
+
+    Each used column `vecs` projects onto factor j entrywise; the distinct
+    images, in lexicographic order, are vecs_j, and each element's tuple
+    `code` becomes a tuple among them.  The distinct tuples are numbered by
+    walking every element through their prefix tree (`_prefix_tree`) to its
+    leaf, and code_j lists one tuple per leaf.  The census is the product of
+    its parts iff the parts' sizes multiply to m and the leaf numbers, read
+    as one mixed-radix position per element, hit every position: a
+    duplicate or a missing element leaves one unhit."""
+    ring, m = crt_split.source, len(code)
+    parts, position, size = [], np.zeros(m, np.intp), 1
+    for j, factor in enumerate(crt_split.factors):
+        image = crt_split.forward_np[vecs, j]
+        _, first, column = np.unique(_batch.row_keys(image, factor.order),
+                                     return_index=True, return_inverse=True)
+        tuples, width = column[code], len(first)
+        tables = _on_factor(ring, factor, _prefix_tree, tuples, width, limit)
+        leaf = np.ones(m, np.intp)                      # the root
+        for d, table in enumerate(tables):
+            leaf = table[leaf * width + tuples[:, d]]
+        count = int(tables[-1].max())
+        size *= count
+        if size > m:
+            return None
+        once = np.empty(count, np.intp)
+        once[leaf - 1] = np.arange(m)
+        parts.append((image[first], tuples[once]))
+        position = position * count + leaf - 1
+    hit = np.zeros(m, dtype=bool)
+    hit[position] = True
+    return parts if size == m and hit.all() else None
 
 
 def _prefix_tree(code, width, limit, derived=0):
@@ -604,9 +662,18 @@ def _prefix_tree(code, width, limit, derived=0):
 
 
 def _closed(ring, vecs, code, limit):
-    """`verify_closure` of a nonempty census: `vecs` (m_c, n) the used
-    columns in lexicographic order and `code` (m, n) the indices of each
-    element's columns among them.
+    """`verify_closure` of a nonempty census as it is: `vecs` (m_c, n) the
+    used columns in lexicographic order and `code` (m, n) the indices of
+    each element's columns among them.
+
+    Column j of AB is A times column j of B, so AB is an element exactly
+    when the tuple of the images of B's columns under A is one.  A acts on
+    the used columns as a map sigma read off one table of the inner products
+    of the distinct rows of the elements with the used columns; an image
+    outside them fails at once.  Elements with equal maps have equal
+    products with every B, so each distinct map is tested once.  The m*m_c
+    images and m*m products are charged to the node budget `limit` first,
+    and the prefix tree's tables as they are built.
 
     The elements' tuples form a prefix tree (`_prefix_tree`).  The last
     columns below a node p of depth n - 1 are its bitmask of ceil(m_c / 64)
@@ -619,6 +686,10 @@ def _closed(ring, vecs, code, limit):
     every node's row holding all maps, so each gather reads whole rows.
     """
     (m, n), mc = code.shape, len(vecs)
+    if m * mc + m * m > limit:
+        raise BudgetExceededError(
+            f"closure of {m} elements over {mc} columns needs {m * mc} images and "
+            f"{m * m} product lookups, over the node budget of {limit}")
     cols = _batch.row_keys(vecs, ring.order)             # sorted, as the columns are
     rows = vecs[code].swapaxes(1, 2).reshape(-1, n)      # the elements' rows
     _, first, row = np.unique(_batch.row_keys(rows, ring.order),
@@ -777,7 +848,8 @@ def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
     factor is counted once per (factor, k_j) in one call, and the counts
     multiply; `nodes` are those of the walks a k ran first.  A local ring
     is its own single factor.  A factor over the budget raises naming the
-    factor and its k_j."""
+    factor and its k_j: a walk with the walk's error, a closed form with the
+    degree bound, which is all the budget bounds there."""
     from .crt import _field_count, split     # crt builds on this module
     crt_split, limit = split(ring), resolve_budget(budget)
     walked = [one_sided or not f.is_field() for f in crt_split.factors]
@@ -797,9 +869,13 @@ def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
                 except BudgetExceededError as exc:
                     if len(crt_split.factors) == 1:
                         raise
-                    raise BudgetExceededError(
-                        f"walking factor {factor.literal} of {ring.literal} at "
-                        f"k={factor.render(kj)}: {exc}", exc.profile) from None
+                    where = f"factor {factor.literal} of {ring.literal} at k={factor.render(kj)}"
+                    if not walk:    # the degree refusal: no candidate column is formed
+                        raise BudgetExceededError(
+                            f"counting {where} in closed form: the node budget of "
+                            f"{_clip(limit)} bounds the degree below {limit.bit_length()}, "
+                            f"got n = {_clip(n)}") from None
+                    raise BudgetExceededError(f"walking {where}: {exc}", exc.profile) from None
             count *= counts[factor, kj][0]
             if one_sided:
                 left *= counts[factor, kj][1]

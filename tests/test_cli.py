@@ -333,14 +333,19 @@ def test_budget_env_propagates(monkeypatch, capsys):
 
 def test_budget_bounds_only_the_degree_of_a_closed_form(monkeypatch, capsys):
     # Z6 splits into fields: no node is walked, and the budget of 10 (4 bits)
-    # refuses n = 4 as a walk would, with the walk's own message
+    # refuses n = 4 as a walk would, saying that it bounds a closed form's degree
     monkeypatch.setenv("KORTHOS_BUDGET", "10")
     code, payload, _ = run_json(capsys, "census", "--ring", "Z6", "--n", "3", "--k", "0")
     assert code == 0 and payload["nodes"] == 0
     assert payload["result"]["censuses"][0]["count"] == 22 * 105 == 2310
     code, _, err = run(capsys, "census", "--ring", "Z6", "--n", "4", "--k", "0")
     assert code == 1
-    assert err == ("korthos: error: walking factor Z2 of Z6 at k=0: the 2^4 candidate "
+    assert err == ("korthos: error: counting factor Z2 of Z6 at k=0 in closed form: the node "
+                   "budget of 10 bounds the degree below 4, got n = 4\n")
+    # Z4 in Z12 is walked, and keeps the walk's message
+    code, _, err = run(capsys, "census", "--ring", "Z12", "--n", "4", "--k", "0")
+    assert code == 1
+    assert err == ("korthos: error: walking factor Z4 of Z12 at k=0: the 4^4 candidate "
                    "columns exceed the node budget of 10\n")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -461,7 +462,35 @@ def test_isotropic_subspaces_match_a_bruteforce(q, n):
             not dots[np.ix_(rows, rows)].any()
             and (vecs[list(rows)][:, lead[list(rows)]] == one[:r, :r]).all()
             for rows in itertools.combinations(range(len(vecs)), r))
-        assert found == crt._isotropic_subspaces(q, n, r), r
+        assert found == crt._isotropic_subspaces(q, n)[r], r
+
+
+def _isotropic_subspaces_per_r(q, n, r):
+    """N_r with each product over i < r formed anew, as a reference."""
+    def sym(m, r):
+        return crt._exact(math.prod(q ** (2 * (m - i)) - 1 for i in range(r)),
+                          math.prod(q ** (i + 1) - 1 for i in range(r)))
+
+    if q % 2 == 0:
+        return sym((n - 1) // 2, r) if n % 2 else (
+            (sym((n - 2) // 2, r - 1) if r else 0) + q ** r * sym((n - 2) // 2, r))
+    if n % 2:
+        return sym(n // 2, r)
+    m, eps = n // 2, crt._eps(q, n // 2)
+    return crt._exact(math.prod((q ** (m - i) - eps) * (q ** (m - i - 1) + eps) for i in range(r)),
+                      math.prod(q ** (i + 1) - 1 for i in range(r)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_carried_isotropic_counts_match_the_per_r_formula(q):
+    # N_(r+1) is carried from N_r; the sums of both closed forms follow
+    for n in range(1, 41):
+        counts = [_isotropic_subspaces_per_r(q, n, r) for r in range(n // 2 + 1)]
+        assert crt._isotropic_subspaces(q, n) == counts, n
+        assert crt._lo_zero_over_a_field(q, n) == sum(
+            c * math.prod(q ** n - q ** i for i in range(r)) for r, c in enumerate(counts)), n
+        assert crt._o_zero_over_a_field(q, n) == sum(
+            c ** 2 * gl_order(q, r) if r else 1 for r, c in enumerate(counts)), n
 
 
 def test_a_closed_form_division_with_a_remainder_is_an_invariant_violation():

@@ -447,17 +447,119 @@ def test_empty_census_is_closed():
 
 
 def test_closure_over_the_budget_is_a_hard_error(monkeypatch):
-    census = enumerate_semigroup(Z6, 3, 4, "left")
-    used = len(np.unique(_batch.row_keys(census.array.swapaxes(1, 2).reshape(-1, 3), 6)))
+    # Z4 is local, its own single factor: the census is checked as it is
+    census = enumerate_semigroup(make_zmod(4), 3, 1, "left")
+    used = len(np.unique(_batch.row_keys(census.array.swapaxes(1, 2).reshape(-1, 3), 4)))
     charge = census.count * used + census.count ** 2
     monkeypatch.setenv("KORTHOS_BUDGET", str(charge))
     assert verify_closure(census) is True
     monkeypatch.setenv("KORTHOS_BUDGET", str(charge - 1))
     with pytest.raises(BudgetExceededError,
-                       match=f"closure of {census.count} elements over {used} columns "
+                       match=f"^closure of {census.count} elements over {used} columns "
                              f"needs {census.count * used} images and {census.count ** 2} "
-                             f"product lookups, over the node budget of {charge - 1}"):
+                             f"product lookups, over the node budget of {charge - 1}$"):
         verify_closure(census)
+
+
+def test_closure_charges_each_factor_of_a_split_ring(monkeypatch):
+    # LO_3(4, Z6) is LO_3(0, Z2) x LO_3(1, Z3): each part is charged its own
+    # images and product lookups, and the larger charge, Z3's, bounds the check
+    census = enumerate_semigroup(Z6, 3, 4, "left")
+    charges = []
+    for factor, kj in ((F2, 0), (make_zmod(3), 1)):
+        part = enumerate_semigroup(factor, 3, kj, "left")
+        used = len(np.unique(part._paths[1]))
+        charges.append((part.count, used, part.count * used + part.count ** 2))
+    assert charges == [(22, 4, 572), (48, 6, 2592)]
+    monkeypatch.setenv("KORTHOS_BUDGET", "2592")
+    assert verify_closure(census) is True
+    monkeypatch.setenv("KORTHOS_BUDGET", "2591")
+    with pytest.raises(BudgetExceededError,
+                       match="^checking factor Z3 of Z6: closure of 48 elements over 6 columns "
+                             "needs 288 images and 2304 product lookups, over the node budget "
+                             "of 2591$"):
+        verify_closure(census)
+
+
+def _closed_on(monkeypatch):
+    """The literals of the rings that `search._closed` checks, in order."""
+    rings = []
+
+    def recording(ring, *args):
+        rings.append(ring.literal)
+        return closed(ring, *args)
+
+    closed = search._closed
+    monkeypatch.setattr(search, "_closed", recording)
+    return rings
+
+
+@pytest.mark.parametrize("ring", ring_family(), ids=lambda r: r.literal)
+def test_factored_closure_at_degree_three(ring):
+    # every k and side at n = 3: a product of k-orthogonal matrices is
+    # k^2-orthogonal, so a nonempty census is closed iff k is idempotent;
+    # the censuses of at most 1,100 elements also form every product
+    for k in ring.elements():
+        for side in SIDES:
+            census = enumerate_semigroup(ring, 3, k, side)
+            closed = census.count == 0 or ring.mul(k, k) == k
+            assert verify_closure(census) is closed, (ring.render(k), side)
+            if census.count <= 1100:
+                assert _closure_by_products(census) is closed, (ring.render(k), side)
+
+
+def _z6_product_set(z2_part, z3_part):
+    """The hand-built left census over Z6 of the matrices whose residues
+    mod 2 and mod 3 run over the two parts: x = 3a + 4b (mod 6)."""
+    a, b = (np.array([Mat.from_text(ring, t).entries for t in part], dtype=np.uint8)
+            for ring, part in ((F2, z2_part), (make_zmod(3), z3_part)))
+    both = (3 * a[:, None].astype(int) + 4 * b[None].astype(int)) % 6
+    return SemigroupCensus(Z6, 2, 1, "left", both.reshape(-1, 2, 2).astype(np.uint8))
+
+
+def test_closure_of_a_product_set_runs_on_its_factors(monkeypatch):
+    rings = _closed_on(monkeypatch)
+    # {I, swap} over Z2 is closed, {I, [1,1;0,1]} over Z3 is not: its square
+    # [1,2;0,1] is missing
+    census = _z6_product_set(["1,0;0,1", "0,1;1,0"], ["1,0;0,1", "1,1;0,1"])
+    assert census.count == 4
+    assert _closure_by_products(census) is False
+    assert verify_closure(census) is False
+    assert rings == ["Z2", "Z3"]
+    rings.clear()
+    census = _z6_product_set(["1,0;0,1", "0,1;1,0"], ["1,0;0,1", "1,1;0,1", "1,2;0,1"])
+    assert _closure_by_products(census) is True
+    assert verify_closure(census) is True
+    assert rings == ["Z2", "Z3"]
+
+
+def test_a_census_that_is_no_product_set_is_checked_as_it_is(monkeypatch):
+    rings = _closed_on(monkeypatch)
+    group = enumerate_semigroup(Z6, 2, 1, "left")
+    # a finite group less one element is not closed, and one element short
+    # of a product of parts
+    short = SemigroupCensus(Z6, 2, 1, "left", group.array[1:])
+    assert _closure_by_products(short) is False
+    assert verify_closure(short) is False
+    assert rings == ["Z6"]
+    rings.clear()
+    # a duplicate leaves a product position unhit too; the set is closed
+    doubled = SemigroupCensus(Z6, 2, 1, "left", np.concatenate([group.array, group.array[:1]]))
+    assert verify_closure(doubled) is True
+    assert rings == ["Z6"]
+    rings.clear()
+    assert verify_closure(group) is True
+    assert rings == ["Z2", "Z3"]
+
+
+@pytest.mark.parametrize("ring,k,count", [(make_zmod(15), 0, 78225), (make_zmod(30), 1, 69120)],
+                         ids=["Z15-0", "Z30-1"])
+def test_closure_past_the_direct_charge(monkeypatch, ring, k, count):
+    # m^2 alone passes the default budget; the factor parts are small
+    monkeypatch.delenv("KORTHOS_BUDGET", raising=False)
+    census = enumerate_semigroup(ring, 3, k, "left")
+    assert census.count == count and count ** 2 > search.DEFAULT_BUDGET
+    assert verify_closure(census) is True
 
 
 def _permutation_set(n, *maps):
