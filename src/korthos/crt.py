@@ -49,7 +49,7 @@ from .rings import (
     make_zmod,
 )
 from .search import (
-    _check_search,
+    _check_degree,
     _check_sweep,
     _naive_paths,
     _prefix_tree,
@@ -203,9 +203,10 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
     factor census is held as paths too: its vectors in lexicographic order
     and the indices of each element's columns (rows for a right census)
     among them.  A walked census has them as its paths; the naive sweep
-    lists its elements by their rows in lexicographic order, and the
-    columns of LO_n(a) are the rows of RO_n(a) = {A^T}, so a one-sided
-    factor reads them off the right sweep and a two-sided one off its own.
+    lists its elements by their rows in lexicographic order.  The right
+    sweep is RO_n(a) = {A^T : A in LO_n(a)}, whose rows are the columns of
+    LO_n(a), so a one-sided factor reads them off the right sweep; O_n(a)
+    holds the transposes of its elements, so a two-sided one reads its own.
     The factor image of each direct candidate is given its rank among the
     factor's vectors, one symbol each, by one table over the base-q codes
     of the q^n vectors, and every element walks the factor census's prefix
@@ -254,7 +255,7 @@ def verify_semigroup_isomorphism(ring, n, k, side="left", budget=None):
             rank = np.full(factor.order ** n, len(vecs))        # by code; else dead
             rank[vecs @ code] = np.arange(len(vecs))
             symbol = rank[crt_split.forward_np[cands, j] @ code]
-            tables = _prefix_tree(factor_path, width, limit, derived=len(cands))
+            tables = _prefix_tree(factor_path, width, limit, derived=len(cands))[0]
             at = tables[0][width:2 * width][symbol].take(paths[:, 0])   # from the root, node 1
             for d, table in enumerate(tables[1:], 1):
                 # the table on the direct candidates: one row per node
@@ -321,8 +322,9 @@ def orth_group_order(ring, n):
 
 def _field_count(field, n, a, side, limit):
     """|LO_n(a, F_q)| = |RO_n(a, F_q)|, or |O_n(a, F_q)| when two-sided, in
-    closed form.  It first refuses what `search._search` refuses, so the
-    node budget `limit` bounds only the degree.
+    closed form.  It refuses a degree n that is not an integer >= 1 and a
+    k outside the field, and, as `search._search` would, n >= the bit
+    length of the node budget `limit`, which bounds only the degree here.
 
     At a = 0 it is `_lo_zero_over_a_field` or `_o_zero_over_a_field`.  At a
     unit a, A^T A = aI makes A invertible, so LO = RO = O, and
@@ -330,7 +332,11 @@ def _field_count(field, n, a, side, limit):
     coset A_0 O_n(F_q), as every form aI with a^n a square is equivalent to
     I.  a^n is a square when n is even, and when a is; the squares are the
     diagonal of the multiplication table."""
-    _check_search(field, n, a, limit)
+    _check_degree(n)
+    field.check_element(a)
+    if n >= limit.bit_length():
+        raise BudgetExceededError(f"the node budget of {_clip(limit)} bounds the degree below "
+                                  f"{limit.bit_length()}, got n = {_clip(n)}")
     q = field.order
     if a == field.zero:
         return _o_zero_over_a_field(q, n) if side == "two_sided" else _lo_zero_over_a_field(q, n)

@@ -43,13 +43,14 @@ A node budget (default 10**8, overridable via the KORTHOS_BUDGET environment
 variable) bounds the number of visited search nodes, each a multiset;
 exceeding it raises and returns nothing partial.  Every stage charges its
 nodes before it allocates, so an oversize search fails at once, and the
-error names the budget, the nodes counted and the nodes per stage.  `enumerate_naive` is the
-independent brute-force oracle: it tests every one of the |R|^(n*n)
-matrices directly against the defining equation without forming the matrix
-products.  A^T A = kI is a meet-in-the-middle join: the key of kI minus the
+error names the budget, the nodes counted and the nodes per stage.
+`enumerate_naive` is the independent brute-force oracle: it tests every one
+of the |R|^(n*n) matrices directly against A^T A = kI without forming the
+matrix products, as a meet-in-the-middle join: the key of kI minus the
 outer-product sum of the first half of the rows must equal the key of the
-sum of the second half.  A A^T is read off a table of the inner products of
-the |R|^n rows.
+sum of the second half.  RO_n(k,R) is the transposes of LO_n(k,R), and
+O_n(k,R) = LO ∩ RO, so the right and two-sided sweeps are read off the
+join's survivors and their column tuples.
 
 The checks on a listed census run on index arrays.  `verify_closure` reads
 each element off its path as the tuple of the indices of its columns among
@@ -285,26 +286,20 @@ def _check_degree(n):
         raise InvalidParameterError("degree n must be >= 1")
 
 
-def _check_search(ring, n, k, limit):
-    """Refuse a census that no walk could take, before any arithmetic: a
-    degree n that is not an integer >= 1, a k outside the ring, or
+def _search(ring, n, k, limit, two_sided=False):
+    """Validate, sweep the candidates and their pairs, and return (counter,
+    cands, the `_walk` generator).  It refuses, before any arithmetic, a
+    degree n that is not an integer >= 1, a k outside the ring, and
     n >= the bit length of the node budget `limit`, as |R|^n >= 2^n > limit
-    candidates.  The closed-form counts over fields refuse by it too."""
+    candidates.  Row i of `adj` is the set of candidates j >= i orthogonal
+    to candidate i (pair Gram matrix kI), packed in uint64 words by
+    `_batch.pack_bits`, so the walk visits each multiset of columns once, as
+    its sorted path; one node per unordered pair."""
     _check_degree(n)
     ring.check_element(k)
     if n >= limit.bit_length():
         raise BudgetExceededError(f"the {ring.order}^{_clip(n)} candidate columns exceed "
                                   f"the node budget of {_clip(limit)}")
-
-
-def _search(ring, n, k, limit, two_sided=False):
-    """Validate (`_check_search`), sweep the candidates and their pairs, and
-    return (counter, cands, the `_walk` generator).  Row i of `adj` is the
-    set of candidates j >= i orthogonal to candidate i (pair Gram matrix
-    kI), packed in uint64 words by `_batch.pack_bits`, so the walk visits
-    each multiset of columns once, as its sorted path; one node per
-    unordered pair."""
-    _check_search(ring, n, k, limit)
     counter = _NodeCounter(limit, n)
     cands = _column_candidates(ring, n, k, counter)   # charges the pairs too
     m = len(cands)
@@ -493,12 +488,13 @@ def _naive_paths(ring, n, k, side="left"):
     sweep is a broadcast grid with one axis per row, in lexicographic order.
     A^T A is the ring sum of the outer products r_i^T r_i, so it is kI
     exactly when the sum over the first h = n // 2 rows equals kI minus the
-    sum over the other n - h: the left test keys kI minus each of the
-    |R|^(n*h) head sums and each of the |R|^(n*(n-h)) tail sums, and compares
-    every head key with every tail key.  (A A^T)[i, j] is <r_i, r_j>, read
-    off a table over the rows for i <= j only: the ring is commutative, so
-    the table is symmetric.  A two-sided sweep tests the columns of the row
-    test's survivors only, off the same table.
+    sum over the other n - h: the test keys kI minus each of the |R|^(n*h)
+    head sums and each of the |R|^(n*(n-h)) tail sums, and compares every
+    head key with every tail key, a mask over the grid.  This join is the
+    sweep's one test of the definition.  A is in RO_n(k,R) exactly when A^T
+    is in LO_n(k,R), so the right sweep is the column tuples of the join's
+    survivors, sorted by their flat index in the grid, and O = LO ∩ RO
+    keeps the survivors whose column tuple is in the mask too.
     """
     _check_sweep(ring, n)
     ring.check_element(k)
@@ -507,30 +503,21 @@ def _naive_paths(ring, n, k, side="left"):
     shape = (len(rows),) * n                              # r_i runs along axis i
     target = np.full((n, n), ring.zero, dtype=np.uint8)
     np.fill_diagonal(target, k)
-    if side == "left":                                    # A^T A = kI
-        outer = _batch.batch_matmul(ring, rows[:, :, None], rows[:, None, :])
-        h = n // 2
-        need = _batch._gather(ring.add_np, target, ring.neg_np[_outer_sums(ring, outer, h)])
-        head, tail = (_batch.row_keys(s.reshape(-1, n * n), ring.order)
-                      for s in (need, _outer_sums(ring, outer, n - h)))
-        mask = (head[:, None] == tail[None, :]).reshape(shape)
-    else:                                                 # A A^T = kI
-        dots = _batch.batch_matmul(ring, rows, rows.T)
-
-        def gram_is_k(vec):     # vec[i] indexes the rows: their Gram test
-            ok = True
-            for i in range(n):
-                for j in range(i, n):
-                    ok = ok & (dots[vec[i], vec[j]] == target[i, j])
-            return ok
-
-        mask = gram_is_k(np.ix_(*[np.arange(len(rows))] * n))
-    paths = np.stack(np.unravel_index(np.flatnonzero(mask), shape), axis=-1)
-    if side == "two_sided":                               # A^T A = kI
-        # a column's index among the rows is its base-|R| code
-        cols = rows[paths].swapaxes(1, 2) @ ring.order ** np.arange(n - 1, -1, -1)
-        paths = paths[gram_is_k(cols.T)]
-    return rows, paths
+    outer = _batch.batch_matmul(ring, rows[:, :, None], rows[:, None, :])
+    h = n // 2
+    need = _batch._gather(ring.add_np, target, ring.neg_np[_outer_sums(ring, outer, h)])
+    head, tail = (_batch.row_keys(s.reshape(-1, n * n), ring.order)
+                  for s in (need, _outer_sums(ring, outer, n - h)))
+    mask = (head[:, None] == tail[None, :]).ravel()       # by flat grid index
+    found = np.flatnonzero(mask)
+    if side != "left":
+        # (n, m): column j of each survivor, as its index among the rows,
+        # which is its base-|R| code
+        cols = rows[np.stack(np.unravel_index(found, shape))].T @ (
+            ring.order ** np.arange(n - 1, -1, -1))
+        transposes = np.ravel_multi_index(tuple(cols), shape)
+        found = np.sort(transposes) if side == "right" else found[mask[transposes]]
+    return rows, np.stack(np.unravel_index(found, shape), axis=-1)
 
 
 def _outer_sums(ring, outer, count):
@@ -603,11 +590,11 @@ def _factor_parts(crt_split, vecs, code, limit):
     Each used column `vecs` projects onto factor j entrywise; the distinct
     images, in lexicographic order, are vecs_j, and each element's tuple
     `code` becomes a tuple among them.  The distinct tuples are numbered by
-    walking every element through their prefix tree (`_prefix_tree`) to its
-    leaf, and code_j lists one tuple per leaf.  The census is the product of
-    its parts iff the parts' sizes multiply to m and the leaf numbers, read
-    as one mixed-radix position per element, hit every position: a
-    duplicate or a missing element leaves one unhit."""
+    their prefix tree (`_prefix_tree`), each element by its leaf, and code_j
+    lists one tuple per leaf.  The census is the product of its parts iff
+    the parts' sizes multiply to m and the leaf numbers, read as one
+    mixed-radix position per element, hit every position: a duplicate or a
+    missing element leaves one unhit."""
     ring, m = crt_split.source, len(code)
     parts, position, size = [], np.zeros(m, np.intp), 1
     for j, factor in enumerate(crt_split.factors):
@@ -615,10 +602,7 @@ def _factor_parts(crt_split, vecs, code, limit):
         _, first, column = np.unique(_batch.row_keys(image, factor.order),
                                      return_index=True, return_inverse=True)
         tuples, width = column[code], len(first)
-        tables = _on_factor(ring, factor, _prefix_tree, tuples, width, limit)
-        leaf = np.ones(m, np.intp)                      # the root
-        for d, table in enumerate(tables):
-            leaf = table[leaf * width + tuples[:, d]]
+        tables, leaf = _on_factor(ring, factor, _prefix_tree, tuples, width, limit)
         count = int(tables[-1].max())
         size *= count
         if size > m:
@@ -633,9 +617,10 @@ def _factor_parts(crt_split, vecs, code, limit):
 
 
 def _prefix_tree(code, width, limit, derived=0):
-    """The prefix tree of the rows of `code` (m, n), entries below `width`,
-    as n dense intp tables: `tables[j][p * width + c]` is the child by entry
-    c of node p of depth j, or the dead node 0.  The root is node 1 of depth
+    """(tables, leaf): the prefix tree of the rows of `code` (m, n), entries
+    below `width`, as n dense intp tables, and each row's leaf, the node of
+    depth n it reaches.  `tables[j][p * width + c]` is the child by entry c
+    of node p of depth j, or the dead node 0.  The root is node 1 of depth
     0, and no row reaches row 0 of a table, so a dead walk stays dead.  The
     nodes of depth j + 1 are numbered from 1 in the order of their (p, c),
     by marking the pairs in the table and numbering the marks, with no sort;
@@ -643,22 +628,22 @@ def _prefix_tree(code, width, limit, derived=0):
     entries each plus `derived` for a table the caller derives from it, are
     charged against the node budget `limit` before the table is allocated."""
     m, n = code.shape
-    pair, size, spent, tables = code[:, 0] + width, 1, 0, []   # the root's pairs
+    at, size, spent, tables = np.ones(m, np.intp), 1, 0, []   # every row at the root
     for j in range(n):
         spent += (size + 1) * (width + derived)
         if spent > limit:
             raise BudgetExceededError(
                 f"a prefix tree of {m} rows of {n} entries below {width} needs {spent} "
                 f"table entries by depth {j + 1}, over the node budget of {limit}")
+        pair = at * width + code[:, j]
         table = np.zeros((size + 1) * width, dtype=np.intp)
         table[pair] = 1
         live = np.flatnonzero(table)
         size = len(live)
         table[live] = np.arange(1, size + 1)
         tables.append(table)
-        if j < n - 1:
-            pair = table[pair] * width + code[:, j + 1]
-    return tables
+        at = table[pair]
+    return tables, at
 
 
 def _closed(ring, vecs, code, limit):
@@ -710,7 +695,7 @@ def _closed(ring, vecs, code, limit):
         maps[:, part] = _batch.lookup(cols, _batch.row_keys(dots[:, act[part]], ring.order))
     if (maps < 0).any():
         return False
-    tables = _prefix_tree(code, mc, limit)
+    tables = _prefix_tree(code, mc, limit)[0]
     step = [(table, *np.divmod(np.flatnonzero(table), mc)) for table in tables[:-1]]
     last = tables[-1].reshape(-1, mc) != 0               # the last columns below each node
     size, mask = len(last) - 1, _batch.pack_bits(last)   # bit c in word c // 64
@@ -754,7 +739,7 @@ def verify_group(census):
     ok = bool(_batch.gram_is_scalar(ring, arr, ring.one).all()
               and (_batch.lookup(census._keys, keys) >= 0).all())
     census.checks["is_group"] = ok
-    witnesses = dict(zip(census.elements, (_mat(ring, a) for a in transposes))) if ok else {}
+    witnesses = dict(zip(census.elements, _mats(ring, transposes))) if ok else {}
     return {"is_group": ok, "identity": ident, "inverse_witnesses": witnesses}
 
 
@@ -847,9 +832,10 @@ def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
     None.  `count_from` says, per factor, "closed-form" or "walk".  Each
     factor is counted once per (factor, k_j) in one call, and the counts
     multiply; `nodes` are those of the walks a k ran first.  A local ring
-    is its own single factor.  A factor over the budget raises naming the
-    factor and its k_j: a walk with the walk's error, a closed form with the
-    degree bound, which is all the budget bounds there."""
+    is its own single factor.  A factor over the budget raises its own
+    error, the walk's or the closed form's degree bound; over a ring of
+    several factors prefixed by how the factor was counted, the factor and
+    its k_j ("walking ..." or "counting ... in closed form")."""
     from .crt import _field_count, split     # crt builds on this module
     crt_split, limit = split(ring), resolve_budget(budget)
     walked = [one_sided or not f.is_field() for f in crt_split.factors]
@@ -870,12 +856,8 @@ def _factored_counts(ring, n, ks, side, budget=None, *, one_sided=False):
                     if len(crt_split.factors) == 1:
                         raise
                     where = f"factor {factor.literal} of {ring.literal} at k={factor.render(kj)}"
-                    if not walk:    # the degree refusal: no candidate column is formed
-                        raise BudgetExceededError(
-                            f"counting {where} in closed form: the node budget of "
-                            f"{_clip(limit)} bounds the degree below {limit.bit_length()}, "
-                            f"got n = {_clip(n)}") from None
-                    raise BudgetExceededError(f"walking {where}: {exc}", exc.profile) from None
+                    how = f"walking {where}" if walk else f"counting {where} in closed form"
+                    raise BudgetExceededError(f"{how}: {exc}", exc.profile) from None
             count *= counts[factor, kj][0]
             if one_sided:
                 left *= counts[factor, kj][1]

@@ -65,9 +65,9 @@ def test_batch_matmul_over_an_empty_inner_dimension_is_zero(ring):
 
 
 @ring_ids
-def test_batch_dot_matches_the_scalar_loops(ring):
-    # the inner products of two sets of vectors, as the adjacency, the
-    # closure's dot table and the naive oracle's row table take them
+def test_batch_matmul_of_vector_sets_matches_the_scalar_loops(ring):
+    # the inner products of two sets of vectors, as the adjacency and the
+    # closure's dot table take them
     u = _random(ring, (3, 1, 5), 5)
     v = _random(ring, (4, 5), 6)
     u[0, 0] = v[0] = ring.order - 1

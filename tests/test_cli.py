@@ -349,6 +349,16 @@ def test_budget_bounds_only_the_degree_of_a_closed_form(monkeypatch, capsys):
                    "columns exceed the node budget of 10\n")
 
 
+def test_a_field_census_refuses_its_degree_as_a_closed_form(monkeypatch, capsys):
+    # GF(2) is its own single factor: the closed form's refusal is not
+    # wrapped, and names the degree bound, as no candidate column is formed
+    monkeypatch.delenv("KORTHOS_BUDGET", raising=False)
+    code, _, err = run(capsys, "census", "--ring", "GF(2)", "--n", "6000", "--k", "0")
+    assert code == 1
+    assert err == ("korthos: error: the node budget of 100000000 bounds the degree below 27, "
+                   "got n = 6000\n")
+
+
 def test_budget_failure_names_the_factor_walked(monkeypatch, capsys):
     monkeypatch.setenv("KORTHOS_BUDGET", "10")
     code, _, err = run(capsys, "tables", "--ring", "Z6", "--n", "3")

@@ -372,14 +372,16 @@ def test_prefix_tree_tables_are_charged_before_they_are_built():
     # (2 + 1) * 3 for the nodes (0,) and (1,), then (3 + 1) * 3 for the
     # three nodes of depth 2
     code = np.array([[0, 0, 1], [0, 2, 2], [1, 0, 0], [0, 0, 2]])
-    tables = search._prefix_tree(code, 3, 6 + 9 + 12)
+    tables, leaf = search._prefix_tree(code, 3, 6 + 9 + 12)
     assert [len(t) for t in tables] == [6, 9, 12]
     assert int(tables[-1].max()) == 4                  # the distinct rows
+    # each row's leaf is its rank among the distinct rows, in lexicographic order
+    assert leaf.tolist() == [1, 3, 4, 2]
     with pytest.raises(BudgetExceededError, match="needs 27 table entries by depth 3"):
         search._prefix_tree(code, 3, 26)
     # a caller deriving 5 more entries per node (the CRT check's tables on
     # the direct candidates) is charged 8 per node
-    assert len(search._prefix_tree(code, 3, 72, derived=5)) == 3
+    assert len(search._prefix_tree(code, 3, 72, derived=5)[0]) == 3
     with pytest.raises(BudgetExceededError, match="needs 72 table entries by depth 3"):
         search._prefix_tree(code, 3, 71, derived=5)
 
